@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from hrsync import NeuronParams, SimSpec, run_isolated
-from hrsync.analysis import trajectory_arrays
 from hrsync.svgplot import Panel, write_chart
 
 out_dir = Path("demo_output")
@@ -23,22 +22,21 @@ params = NeuronParams.canonical(I=3.024)
 print("integrating 2000 time units (dt=0.01) ...")
 long_run = run_isolated(SimSpec(dt=0.01, t_end=2000.0, record_every=10,
                                 transient=500.0), params)
-mean_hdot = np.mean([s.Hdot_pre for s in long_run])
+mean_hdot = np.mean(long_run.Hdot_pre)
 print(f"free-attractor mean energy derivative over t in [500, 2000]: {mean_hdot:+.4f}")
 print("(a free neuron exchanges as much energy as it receives: the average is ~0)")
 
 # short, densely sampled run for the traces
 trace = run_isolated(SimSpec(dt=0.01, t_end=700.0, record_every=2,
                              transient=500.0), params)
-a = trajectory_arrays(trace)
-t, state = a["t"], a["pre"]
+t, state = trace.t, trace.pre
 
 write_chart(
     out_dir / "isolated_traces.svg",
     [
         Panel("membrane potential", "t", "x").add("x", t, state[:, 0]),
-        Panel("energy", "t", "H").add("H", t, a["H_pre"]),
-        Panel("energy derivative", "t", "Hdot").add("Hdot", t, a["Hdot_pre"]),
+        Panel("energy", "t", "H").add("H", t, trace.H_pre),
+        Panel("energy derivative", "t", "Hdot").add("Hdot", t, trace.Hdot_pre),
     ],
 )
 
@@ -54,7 +52,7 @@ for columns in ("xyz", "xyw", "xzw"):
 
 # spike-phase bookkeeping: depolarization dissipates, repolarization demands
 x = state[:, 0]
-hdot = a["Hdot_pre"]
+hdot = trace.Hdot_pre
 dx = np.gradient(x, t[1] - t[0])
 print(f"while x rises fast, Hdot < 0 in {(hdot[dx > 2] < 0).mean():.0%} of samples")
 print(f"while x falls fast, Hdot > 0 in {(hdot[dx < -2] > 0).mean():.0%} of samples")

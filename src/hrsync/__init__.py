@@ -36,7 +36,7 @@ from .sim import (
     DivergenceError,
     PairConfig,
     SimSpec,
-    TrajectorySample,
+    Trajectory,
     coupled_derivative,
     rk4_step,
     run_isolated,
@@ -56,7 +56,7 @@ __all__ = [
     "SimSpec",
     "StateDerivative",
     "SweepSummary",
-    "TrajectorySample",
+    "Trajectory",
     "WindowedSeries",
     "conservative_field",
     "coupled_derivative",

@@ -17,14 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import DivergenceError, PairConfig, SimSpec, TrajectorySample, run_pair
+from .sim import DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
 
 __all__ = [
     "SweepSummary",
     "WindowedSeries",
     "sweep_K",
     "sync_rms",
-    "trajectory_arrays",
     "windowed_average",
 ]
 
@@ -94,22 +93,7 @@ def windowed_average(
     raise ValueError(f"unknown averaging mode {mode!r}")
 
 
-def trajectory_arrays(samples: Sequence[TrajectorySample]) -> dict[str, np.ndarray]:
-    """Column-wise view of a sample sequence, keyed by quantity."""
-    return {
-        "t": np.array([s.t for s in samples]),
-        "pre": np.array([s.pre_state.as_tuple() for s in samples]),
-        "post": np.array([s.post_state.as_tuple() for s in samples]),
-        "post_I": np.array([s.post_I for s in samples]),
-        "e": np.array([s.e for s in samples]),
-        "H_pre": np.array([s.H_pre for s in samples]),
-        "Hdot_pre": np.array([s.Hdot_pre for s in samples]),
-        "H_post": np.array([s.H_post for s in samples]),
-        "Hdot_post": np.array([s.Hdot_post for s in samples]),
-    }
-
-
-def sync_rms(samples: Sequence[TrajectorySample], t0: float, t1: float) -> float:
+def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     """Root-mean-square of the full-state error norm over ``t in [t0, t1]``.
 
     The error norm is Euclidean over all four components, so this measures
@@ -117,13 +101,14 @@ def sync_rms(samples: Sequence[TrajectorySample], t0: float, t1: float) -> float
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    sq = [
-        s.e[0] ** 2 + s.e[1] ** 2 + s.e[2] ** 2 + s.e[3] ** 2
-        for s in samples
-        if t0 <= s.t <= t1
-    ]
-    if not sq:
+    t = trajectory.t
+    mask = (t >= t0) & (t <= t1)
+    if not mask.any():
         raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
+    # Python's ``**`` calls libm pow, which can differ from numpy's square in
+    # the last bit, and the summary is written to CSV: keep float arithmetic.
+    e = (trajectory.post[mask] - trajectory.pre[mask]).tolist()
+    sq = [e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2 for e0, e1, e2, e3 in e]
     return math.sqrt(sum(sq) / len(sq))
 
 
@@ -161,17 +146,16 @@ def _sweep_one(
     post_window: tuple[float, float],
 ) -> SweepSummary:
     try:
-        samples = run_pair(spec, replace(config, K=K))
-        arrays = trajectory_arrays(samples)
-        t = arrays["t"]
+        run = run_pair(spec, replace(config, K=K))
+        t = run.t
         return SweepSummary(
             K=K,
-            pre_adapt_avg_H=_window_mean(t, arrays["H_post"], pre_window),
-            pre_adapt_avg_Hdot=_window_mean(t, arrays["Hdot_post"], pre_window),
-            post_adapt_avg_H=_window_mean(t, arrays["H_post"], post_window),
-            post_adapt_avg_Hdot=_window_mean(t, arrays["Hdot_post"], post_window),
-            pre_adapt_sync_rms=sync_rms(samples, *pre_window),
-            post_adapt_sync_rms=sync_rms(samples, *post_window),
+            pre_adapt_avg_H=_window_mean(t, run.H_post, pre_window),
+            pre_adapt_avg_Hdot=_window_mean(t, run.Hdot_post, pre_window),
+            post_adapt_avg_H=_window_mean(t, run.H_post, post_window),
+            post_adapt_avg_Hdot=_window_mean(t, run.Hdot_post, post_window),
+            pre_adapt_sync_rms=sync_rms(run, *pre_window),
+            post_adapt_sync_rms=sync_rms(run, *post_window),
         )
     except DivergenceError as exc:
         nan = float("nan")
@@ -195,8 +179,8 @@ def sweep_K(
     with its ``error`` field set; the other runs are unaffected.
     """
     k_values = [float(K) for K in k_values]
-    if any(K < 0 for K in k_values):
-        raise ValueError("all coupling strengths must be >= 0")
+    if not all(math.isfinite(K) and K >= 0 for K in k_values):
+        raise ValueError("all coupling strengths must be finite and >= 0")
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
         raise ValueError("windows must be nonempty intervals")
     if pre_window[1] > post_window[0]:

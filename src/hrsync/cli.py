@@ -26,7 +26,9 @@ import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-from .analysis import sweep_K, trajectory_arrays, windowed_average
+import numpy as np
+
+from .analysis import sweep_K, windowed_average
 from .model import NeuronParams, NeuronState
 from .sim import AdaptationSpec, DivergenceError, PairConfig, SimSpec, run_isolated, run_pair
 from .svgplot import Panel, write_chart
@@ -44,9 +46,8 @@ DIVERGENCE_MARKER = "ERR:divergence"
 H_WINDOW = 10.0
 HDOT_WINDOW = 5.0
 
-#: Summary windows for the sweep command, fixed around the adaptation switch.
-SWEEP_PRE_WINDOW = (50.0, 100.0)
-SWEEP_POST_WINDOW = (150.0, 200.0)
+#: Rows formatted per write, so the text held in memory stays bounded.
+CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -235,11 +236,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write ``header`` and an iterable of newline-terminated rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        handle.writelines(lines)
+
+
+def _float_lines(*columns):
+    """CSV rows of float columns (1-d, or 2-d for several at once), formatted
+    ``CSV_CHUNK_ROWS`` rows at a time."""
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = np.column_stack([c[lo : lo + CSV_CHUNK_ROWS] for c in columns]).tolist()
+        yield from [",".join(map(repr, row)) + "\n" for row in rows]
 
 
 def _aligned_average(t, values, window: float) -> list[str]:
@@ -256,35 +265,22 @@ def _aligned_average(t, values, window: float) -> list[str]:
 def cmd_isolated(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     params = cfg.pre_params()
-    samples = run_isolated(cfg.sim_spec(), params)
+    run = run_isolated(cfg.sim_spec(), params)
     out = Path(cfg.out or "isolated.csv")
 
-    rows = (
-        (
-            _fmt(s.t),
-            _fmt(s.pre_state.x),
-            _fmt(s.pre_state.y),
-            _fmt(s.pre_state.z),
-            _fmt(s.pre_state.w),
-            _fmt(s.H_pre),
-            _fmt(s.Hdot_pre),
-        )
-        for s in samples
-    )
-    _write_csv(out, "t,x,y,z,w,H,Hdot", rows)
+    _write_csv(out, "t,x,y,z,w,H,Hdot", _float_lines(run.t, run.pre, run.H_pre, run.Hdot_pre))
     written = [out]
 
     if cfg.plot:
-        arrays = trajectory_arrays(samples)
-        t = arrays["t"]
-        state = arrays["pre"]
+        t = run.t
+        state = run.pre
         chart = out.with_suffix(".svg")
         write_chart(
             chart,
             [
                 Panel("action potential", "t", "x").add("x", t, state[:, 0]),
-                Panel("energy", "t", "H").add("H", t, arrays["H_pre"]),
-                Panel("energy derivative", "t", "Hdot").add("Hdot", t, arrays["Hdot_pre"]),
+                Panel("energy", "t", "H").add("H", t, run.H_pre),
+                Panel("energy derivative", "t", "Hdot").add("Hdot", t, run.Hdot_pre),
             ],
         )
         written.append(chart)
@@ -292,11 +288,7 @@ def cmd_isolated(args: argparse.Namespace) -> int:
         for columns in ("xyz", "xyw", "xzw"):
             picks = ["xyzw".index(c) for c in columns]
             proj_path = out.with_name(f"{out.stem}_proj_{columns}.csv")
-            _write_csv(
-                proj_path,
-                ",".join(columns),
-                ((_fmt(row[i]) for i in picks) for row in state),
-            )
+            _write_csv(proj_path, ",".join(columns), _float_lines(state[:, picks]))
             written.append(proj_path)
 
     for path in written:
@@ -306,41 +298,33 @@ def cmd_isolated(args: argparse.Namespace) -> int:
 
 def cmd_pair(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    samples = run_pair(cfg.sim_spec(), cfg.pair_config())
+    run = run_pair(cfg.sim_spec(), cfg.pair_config())
     out = Path(cfg.out or "pair.csv")
 
-    arrays = trajectory_arrays(samples)
-    t = arrays["t"]
-    avg_H2 = _aligned_average(t, arrays["H_post"], H_WINDOW)
-    avg_Hdot2 = _aligned_average(t, arrays["Hdot_post"], HDOT_WINDOW)
+    t = run.t
+    avg_H2 = _aligned_average(t, run.H_post, H_WINDOW)
+    avg_Hdot2 = _aligned_average(t, run.Hdot_post, HDOT_WINDOW)
 
-    def rows():
-        for i, s in enumerate(samples):
-            e_norm = math.sqrt(s.e[0] ** 2 + s.e[1] ** 2 + s.e[2] ** 2 + s.e[3] ** 2)
-            yield (
-                _fmt(s.t),
-                _fmt(s.pre_state.x),
-                _fmt(s.pre_state.y),
-                _fmt(s.pre_state.z),
-                _fmt(s.pre_state.w),
-                _fmt(s.post_state.x),
-                _fmt(s.post_state.y),
-                _fmt(s.post_state.z),
-                _fmt(s.post_state.w),
-                _fmt(s.post_I),
-                _fmt(e_norm),
-                _fmt(s.H_pre),
-                _fmt(s.Hdot_pre),
-                _fmt(s.H_post),
-                _fmt(s.Hdot_post),
-                avg_H2[i],
-                avg_Hdot2[i],
-            )
+    def lines():
+        for lo in range(0, len(run), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            rows = np.column_stack((
+                t[lo:hi], run.pre[lo:hi], run.post[lo:hi], run.q[lo:hi],
+                run.H_pre[lo:hi], run.Hdot_pre[lo:hi], run.H_post[lo:hi], run.Hdot_post[lo:hi],
+            )).tolist()
+            for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), aH, aHd in zip(
+                rows, avg_H2[lo:hi], avg_Hdot2[lo:hi]
+            ):
+                e_norm = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2 + (w2 - w1) ** 2)
+                yield (
+                    f"{ti!r},{x1!r},{y1!r},{z1!r},{w1!r},{x2!r},{y2!r},{z2!r},{w2!r},{q!r},"
+                    f"{e_norm!r},{H1!r},{Hd1!r},{H2!r},{Hd2!r},{aH},{aHd}\n"
+                )
 
     _write_csv(
         out,
         "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5",
-        rows(),
+        lines(),
     )
     written = [out]
 
@@ -356,7 +340,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
                 Panel("receiving-neuron energy derivative, 5-unit average", "t", "Hdot2")
                 .add("avgHdot2_w5", [p[0] for p in filled_Hd], [p[1] for p in filled_Hd]),
                 Panel("adapted external current", "t", "I2")
-                .add("I2", t, arrays["post_I"]),
+                .add("I2", t, run.q),
             ],
         )
         written.append(chart)
@@ -370,12 +354,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not cfg.k_list:
         raise ValueError("sweep needs at least one coupling strength")
+    # windows: the second half of the run before the switch, and of the rest
     summaries = sweep_K(
         cfg.k_list,
         cfg.sim_spec(),
         cfg.pair_config(),
-        pre_window=SWEEP_PRE_WINDOW,
-        post_window=SWEEP_POST_WINDOW,
+        pre_window=(cfg.adapt_at / 2, cfg.adapt_at),
+        post_window=((cfg.t_end + cfg.adapt_at) / 2, cfg.t_end),
         max_workers=getattr(args, "jobs", None),
     )
     out = Path(cfg.out or "sweep.csv")
@@ -395,7 +380,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     _fmt(s.post_adapt_sync_rms),
                 )
 
-    _write_csv(out, "K,preH,preHdot,postH,postHdot,preSync,postSync", rows())
+    _write_csv(
+        out,
+        "K,preH,preHdot,postH,postHdot,preSync,postSync",
+        (",".join(row) + "\n" for row in rows()),
+    )
     written = [out]
 
     if cfg.plot:

@@ -16,14 +16,17 @@ Runge-Kutta step as the neurons, so there is no operator-splitting error.
 Activation is decided once per step from the step's left endpoint; no
 sub-step event location is attempted (the switch-time error is O(dt)).
 
-Runs are deterministic: identical specs and configs produce bit-identical
-sample sequences on a given build.
+Both the pair and the lone neuron (:func:`run_isolated`) go through one
+integration loop and one RK4 over tuples of Python floats, recording into a
+columnar :class:`Trajectory`. Runs are deterministic: identical specs and
+configs produce bit-identical trajectories on a given build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +44,7 @@ __all__ = [
     "DivergenceError",
     "PairConfig",
     "SimSpec",
-    "TrajectorySample",
+    "Trajectory",
     "coupled_derivative",
     "rk4_step",
     "run_isolated",
@@ -74,10 +77,10 @@ class AdaptationSpec:
             raise ValueError(
                 f"adaptation target {self.target!r} must be one of {ADAPTABLE_PARAMS}"
             )
-        if not self.gain > 0:
-            raise ValueError("adaptation gain must be positive")
-        if self.start_time < 0:
-            raise ValueError("adaptation start_time must be >= 0")
+        if not (math.isfinite(self.gain) and self.gain > 0):
+            raise ValueError("adaptation gain must be finite and positive")
+        if not (math.isfinite(self.start_time) and self.start_time >= 0):
+            raise ValueError("adaptation start_time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ class PairConfig:
     adaptation: AdaptationSpec | None = None
 
     def __post_init__(self) -> None:
-        if not self.K >= 0:
-            raise ValueError("coupling strength K must be >= 0")
+        if not (math.isfinite(self.K) and self.K >= 0):
+            raise ValueError("coupling strength K must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,9 @@ class SimSpec:
     transient: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "transient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not (self.t_end > self.transient >= 0):
@@ -129,39 +135,63 @@ class SimSpec:
         return round(self.t_end / self.dt)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    """One recorded instant of a run.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Recorded instants of a run, one read-only column per quantity.
 
-    ``post_I`` is the live value of the adapted parameter (the postsynaptic
-    external current unless another target was configured). ``e`` is the
-    state error ``post_state - pre_state``, componentwise.
+    ``t`` holds the sample times; ``pre`` and ``post`` are ``(n, 4)`` state
+    columns in (x, y, z, w) order. ``q`` is the live value of the adapted
+    parameter (the postsynaptic external current unless another target was
+    configured). ``H_*`` and ``Hdot_*`` are each neuron's energy and energy
+    derivative. ``len()`` is the number of samples, and two trajectories are
+    equal when every column is.
     """
 
-    t: float
-    pre_state: NeuronState
-    post_state: NeuronState
-    post_I: float
-    e: tuple[float, float, float, float]
-    H_pre: float
-    Hdot_pre: float
-    H_post: float
-    Hdot_post: float
+    t: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+    q: np.ndarray
+    H_pre: np.ndarray
+    Hdot_pre: np.ndarray
+    H_post: np.ndarray
+    Hdot_post: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    @property
+    def e(self) -> np.ndarray:
+        """State error ``post - pre``, one ``(n, 4)`` row per sample."""
+        return self.post - self.pre
 
 
-def rk4_step(f, state, t: float, dt: float):
+def rk4_step(f, state: tuple, t: float, dt: float) -> tuple:
     """One classical fourth-order Runge-Kutta step of ``d state/dt = f(state, t)``.
 
-    ``state`` may be a scalar or a flat array; ``f`` must return the same
-    shape. Raises :class:`DivergenceError` if the result is not finite.
+    ``state`` is a tuple of floats and ``f`` returns a sequence of the same
+    length; stages are passed to ``f`` as lists. Each component follows the
+    operation order of the vector form ``state + (dt/6)*(k1 + 2*(k2 + k3) + k4)``,
+    so it is bit-identical to that form evaluated on float64 arrays. Raises
+    :class:`DivergenceError` if the result is not finite.
     """
     half = 0.5 * dt
     k1 = f(state, t)
-    k2 = f(state + half * k1, t + half)
-    k3 = f(state + half * k2, t + half)
-    k4 = f(state + dt * k3, t + dt)
-    out = state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not np.all(np.isfinite(out)):
+    k2 = f([s + half * k for s, k in zip(state, k1)], t + half)
+    k3 = f([s + half * k for s, k in zip(state, k2)], t + half)
+    k4 = f([s + dt * k for s, k in zip(state, k3)], t + dt)
+    sixth = dt / 6.0
+    out = tuple(
+        [s + sixth * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    )
+    if not all(map(math.isfinite, out)):
         raise DivergenceError(t, f"non-finite state after step at t={t:g}")
     return out
 
@@ -173,10 +203,11 @@ def _adapted_params(config: PairConfig, value: float) -> NeuronParams:
 
 
 def _make_pair_rhs(config: PairConfig):
-    """Derivative of the 9-component joint state, as ``rhs(joint, active)``.
+    """Derivatives of the 9-component joint state, as ``(idle, active)``
+    kernels ``f(joint, t)``.
 
     Layout: (pre x,y,z,w, post x,y,z,w, adapted parameter). The adapted
-    parameter's derivative is zero when ``active`` is false.
+    parameter's derivative is zero in the idle kernel.
     """
     field_pre = make_field(config.pre)
     field_post = make_field(config.post)
@@ -192,36 +223,38 @@ def _make_pair_rhs(config: PairConfig):
         # and the sensitivity is the constant (xi, 0, 0, 0) of the drive.
         xi_pre = config.pre.xi
 
-        def rhs(joint: np.ndarray, active: bool) -> np.ndarray:
-            x1, y1, z1, w1, x2, y2, z2, w2, q = joint.tolist()
-            d1 = field_pre(x1, y1, z1, w1, I_pre)
-            dx2, dy2, dz2, dw2 = field_post(x2, y2, z2, w2, q)
-            dq = -gain * xi_pre * (x2 - x1) if active else 0.0
-            return np.array(
-                (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
-            )
+        def make(active: bool):
+            def rhs(joint, t: float) -> tuple:
+                x1, y1, z1, w1, x2, y2, z2, w2, q = joint
+                d1 = field_pre(x1, y1, z1, w1, I_pre)
+                dx2, dy2, dz2, dw2 = field_post(x2, y2, z2, w2, q)
+                dq = -gain * xi_pre * (x2 - x1) if active else 0.0
+                return (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
+
+            return rhs
 
     else:
         # General target: rebuild the postsynaptic field around the live
         # parameter value. Slow, but only non-current targets pay for it.
-        def rhs(joint: np.ndarray, active: bool) -> np.ndarray:
-            x1, y1, z1, w1, x2, y2, z2, w2, q = joint.tolist()
-            d1 = field_pre(x1, y1, z1, w1, I_pre)
-            live = make_field(_adapted_params(config, q))
-            dx2, dy2, dz2, dw2 = live(x2, y2, z2, w2, I_post)
-            if active:
-                sens = param_sensitivity(
-                    NeuronState(x1, y1, z1, w1), config.pre, target
-                ).as_tuple()
-                err = (x2 - x1, y2 - y1, z2 - z1, w2 - w1)
-                dq = -gain * math.fsum(se * ee for se, ee in zip(sens, err))
-            else:
-                dq = 0.0
-            return np.array(
-                (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
-            )
+        def make(active: bool):
+            def rhs(joint, t: float) -> tuple:
+                x1, y1, z1, w1, x2, y2, z2, w2, q = joint
+                d1 = field_pre(x1, y1, z1, w1, I_pre)
+                live = make_field(_adapted_params(config, q))
+                dx2, dy2, dz2, dw2 = live(x2, y2, z2, w2, I_post)
+                if active:
+                    sens = param_sensitivity(
+                        NeuronState(x1, y1, z1, w1), config.pre, target
+                    ).as_tuple()
+                    err = (x2 - x1, y2 - y1, z2 - z1, w2 - w1)
+                    dq = -gain * math.fsum(se * ee for se, ee in zip(sens, err))
+                else:
+                    dq = 0.0
+                return (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
 
-    return rhs
+            return rhs
+
+    return make(False), make(True)
 
 
 def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
@@ -238,20 +271,48 @@ def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
         raise ValueError("joint state must be finite")
     adapt = config.adaptation
     active = adapt is not None and t >= adapt.start_time
-    return _make_pair_rhs(config)(joint, active)
+    f_idle, f_active = _make_pair_rhs(config)
+    return np.array((f_active if active else f_idle)(joint.tolist(), t))
 
 
-def _check_bound(values, t: float) -> None:
-    if max(abs(v) for v in values) >= DIVERGENCE_BOUND:
-        raise DivergenceError(
-            t, f"state left the boundedness guard (|component| >= {DIVERGENCE_BOUND:g}) at t={t:g}"
-        )
+def _integrate(spec: SimSpec, state: tuple, f_idle, f_active, start: float,
+               guarded: int, row) -> np.ndarray:
+    """RK4 from t=0 to ``spec.t_end``; returns the recorded rows, flattened.
+
+    A step uses ``f_active`` when its left endpoint is at or past ``start``,
+    else ``f_idle``. The first ``guarded`` state components are held to the
+    divergence bound. Every ``spec.record_every`` steps from ``transient``
+    on, ``row(t, state)`` is appended to one flat float buffer, which is
+    returned as a read-only array without copying.
+    """
+    dt = spec.dt
+    rec = spec.record_every
+    record_from = spec.transient - 1e-12
+    rows = array("d")
+    put = rows.extend
+    n_steps = spec.n_steps
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i % rec == 0 and t >= record_from:
+            put(row(t, state))
+        if i == n_steps:
+            break
+        state = rk4_step(f_active if t >= start else f_idle, state, t, dt)
+        if max(map(abs, state[:guarded])) >= DIVERGENCE_BOUND:
+            raise DivergenceError(
+                (i + 1) * dt,
+                f"state left the boundedness guard (|component| >= {DIVERGENCE_BOUND:g})"
+                f" at t={(i + 1) * dt:g}",
+            )
+    table = np.frombuffer(rows, dtype=float)
+    table.flags.writeable = False
+    return table
 
 
-def run_pair(spec: SimSpec, config: PairConfig) -> list[TrajectorySample]:
+def run_pair(spec: SimSpec, config: PairConfig) -> Trajectory:
     """Integrate the coupled pair from t=0 to ``spec.t_end``.
 
-    Returns samples every ``spec.record_every`` steps for ``t >= transient``.
+    Records every ``spec.record_every`` steps for ``t >= transient``.
     Energies are evaluated with each neuron's own parameters; the receiving
     neuron uses the live adapted value.
     """
@@ -259,14 +320,6 @@ def run_pair(spec: SimSpec, config: PairConfig) -> list[TrajectorySample]:
     target = adapt.target if adapt is not None else "I"
     start = adapt.start_time if adapt is not None else math.inf
     q0 = getattr(config.post, target)
-
-    rhs = _make_pair_rhs(config)
-
-    def f_idle(v, t):
-        return rhs(v, False)
-
-    def f_active(v, t):
-        return rhs(v, True)
 
     energy_pre = make_energy_eval(config.pre)
     I_pre = config.pre.I
@@ -277,84 +330,55 @@ def run_pair(spec: SimSpec, config: PairConfig) -> list[TrajectorySample]:
         def energy_post_at(x, y, z, w, q):
             return make_energy_eval(_adapted_params(config, q))(x, y, z, w, I_post)
 
-    dt = spec.dt
-    rec = spec.record_every
-    record_from = spec.transient - 1e-12
-    samples: list[TrajectorySample] = []
-
-    def record(t: float, joint: np.ndarray) -> None:
-        x1, y1, z1, w1, x2, y2, z2, w2, q = joint.tolist()
+    def row(t: float, joint: tuple) -> tuple:
+        x1, y1, z1, w1, x2, y2, z2, w2, q = joint
         H1, Hdot1, _ = energy_pre(x1, y1, z1, w1, I_pre)
         H2, Hdot2, _ = energy_post_at(x2, y2, z2, w2, q)
-        samples.append(
-            TrajectorySample(
-                t=t,
-                pre_state=NeuronState(x1, y1, z1, w1),
-                post_state=NeuronState(x2, y2, z2, w2),
-                post_I=q,
-                e=(x2 - x1, y2 - y1, z2 - z1, w2 - w1),
-                H_pre=H1,
-                Hdot_pre=Hdot1,
-                H_post=H2,
-                Hdot_post=Hdot2,
-            )
-        )
+        return (t, *joint, H1, Hdot1, H2, Hdot2)
 
-    joint = np.array((*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q0))
-    n_steps = spec.n_steps
-    for i in range(n_steps + 1):
-        t = i * dt
-        if i % rec == 0 and t >= record_from:
-            record(t, joint)
-        if i == n_steps:
-            break
-        stepper = f_active if (adapt is not None and t >= start) else f_idle
-        joint = rk4_step(stepper, joint, t, dt)
-        _check_bound(joint.tolist()[:8], (i + 1) * dt)
-    return samples
+    joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q0)
+    f_idle, f_active = _make_pair_rhs(config)
+    table = _integrate(spec, joint, f_idle, f_active, start, 8, row).reshape(-1, 14)
+    return Trajectory(
+        t=table[:, 0],
+        pre=table[:, 1:5],
+        post=table[:, 5:9],
+        q=table[:, 9],
+        H_pre=table[:, 10],
+        Hdot_pre=table[:, 11],
+        H_post=table[:, 12],
+        Hdot_post=table[:, 13],
+    )
 
 
-def run_isolated(spec: SimSpec, params: NeuronParams) -> list[TrajectorySample]:
+def run_isolated(spec: SimSpec, params: NeuronParams) -> Trajectory:
     """Integrate a single free neuron started from ``spec.initial_pre``.
 
-    Samples mirror the lone neuron in both state slots, with zero error.
+    The lone neuron fills both state slots (so the error is zero), and ``q``
+    is its constant external current.
     """
     field = make_field(params)
     energy_at = make_energy_eval(params)
     I = params.I
 
-    def f(v, t):
-        x, y, z, w = v.tolist()
-        return np.array(field(x, y, z, w, I))
+    def f(state, t: float) -> tuple:
+        return field(*state, I)
 
-    dt = spec.dt
-    rec = spec.record_every
-    record_from = spec.transient - 1e-12
-    samples: list[TrajectorySample] = []
+    def row(t: float, state: tuple) -> tuple:
+        H, Hdot, _ = energy_at(*state, I)
+        return (t, *state, H, Hdot)
 
-    state = np.array(spec.initial_pre.as_tuple())
-    n_steps = spec.n_steps
-    for i in range(n_steps + 1):
-        t = i * dt
-        if i % rec == 0 and t >= record_from:
-            x, y, z, w = state.tolist()
-            H, Hdot, _ = energy_at(x, y, z, w, I)
-            here = NeuronState(x, y, z, w)
-            samples.append(
-                TrajectorySample(
-                    t=t,
-                    pre_state=here,
-                    post_state=here,
-                    post_I=I,
-                    e=(0.0, 0.0, 0.0, 0.0),
-                    H_pre=H,
-                    Hdot_pre=Hdot,
-                    H_post=H,
-                    Hdot_post=Hdot,
-                )
-            )
-        if i == n_steps:
-            break
-        state = rk4_step(f, state, t, dt)
-        _check_bound(state.tolist(), (i + 1) * dt)
-    return samples
+    table = _integrate(spec, spec.initial_pre.as_tuple(), f, f, math.inf, 4, row).reshape(-1, 7)
+    state = table[:, 1:5]
+    q = np.full(len(table), I)
+    q.flags.writeable = False
+    return Trajectory(
+        t=table[:, 0],
+        pre=state,
+        post=state,
+        q=q,
+        H_pre=table[:, 5],
+        Hdot_pre=table[:, 6],
+        H_post=table[:, 5],
+        Hdot_post=table[:, 6],
+    )

@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hrsync.analysis import sweep_K, sync_rms, trajectory_arrays, windowed_average
+from hrsync.analysis import sweep_K, sync_rms, windowed_average
 from hrsync.energy import energy, energy_gradient
 from hrsync.model import NeuronParams, NeuronState, conservative_field
 from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, run_isolated, run_pair
@@ -103,13 +103,12 @@ def random_states(n, seed):
 
 def timed_pair_run(spec, config):
     start = time.perf_counter()
-    samples = run_pair(spec, config)
-    return samples, time.perf_counter() - start
+    run = run_pair(spec, config)
+    return run, time.perf_counter() - start
 
 
-def windowed_mean(samples, value_key, window, t_lo, t_hi):
-    arrays = trajectory_arrays(samples)
-    series = windowed_average(arrays["t"], arrays[value_key], window)
+def windowed_mean(run, value_key, window, t_lo, t_hi):
+    series = windowed_average(run.t, getattr(run, value_key), window)
     mask = (series.times >= t_lo) & (series.times <= t_hi)
     return float(series.values[mask].mean())
 
@@ -149,7 +148,7 @@ def test_criterion_3_integrator_order():
     finals = {}
     for dt in (0.02, 0.01, 0.005):
         spec = SimSpec(dt=dt, t_end=1.0, record_every=round(1.0 / dt))
-        finals[dt] = np.array(run_isolated(spec, CANON)[-1].pre_state.as_tuple())
+        finals[dt] = run_isolated(spec, CANON).pre[-1]
     factor = np.linalg.norm(finals[0.02] - finals[0.01]) / np.linalg.norm(
         finals[0.01] - finals[0.005]
     )
@@ -163,8 +162,7 @@ def test_criterion_4_isolated_energy_balance():
     crit = Criterion(4, "free neuron exchanges zero net energy")
     start = time.perf_counter()
     spec = SimSpec(dt=0.01, t_end=2000.0, record_every=10, transient=500.0)
-    samples = run_isolated(spec, CANON)
-    mean_hdot = float(np.mean([s.Hdot_pre for s in samples]))
+    mean_hdot = float(np.mean(run_isolated(spec, CANON).Hdot_pre))
     elapsed = time.perf_counter() - start
     crit.check(abs(mean_hdot) < 0.5, f"|mean Hdot[500,2000]| = {abs(mean_hdot):.4f} < 0.5")
     crit.check(elapsed < 10.0, f"runtime {elapsed:.3f}s < 10s")
@@ -175,9 +173,9 @@ def test_criterion_5_forced_regime_cost():
     crit = Criterion(5, "forced-regime energy cost")
     lo, hi = FORCED_WINDOW
     spec = SimSpec(dt=0.01, t_end=hi, record_every=10)
-    samples, elapsed = timed_pair_run(spec, replace(DEFAULT_CONFIG, adaptation=None))
-    h_avg = windowed_mean(samples, "H_post", 10.0, lo, hi)
-    hdot_avg = abs(windowed_mean(samples, "Hdot_post", 5.0, lo, hi))
+    run, elapsed = timed_pair_run(spec, replace(DEFAULT_CONFIG, adaptation=None))
+    h_avg = windowed_mean(run, "H_post", 10.0, lo, hi)
+    hdot_avg = abs(windowed_mean(run, "Hdot_post", 5.0, lo, hi))
     crit.check(
         46.0 <= abs(h_avg) <= 86.0,
         f"|mean avgH2_w10[{lo:g},{hi:g}]| = {abs(h_avg):.2f} in [46, 86] (signed {h_avg:.2f})",
@@ -191,16 +189,16 @@ def test_criterion_5_forced_regime_cost():
 def test_criterion_6_adaptation_convergence():
     crit = Criterion(6, "adaptation removes the synchronization cost")
     spec = SimSpec(dt=0.01, t_end=ADAPTED_T_END, record_every=10)
-    samples, elapsed = timed_pair_run(spec, DEFAULT_CONFIG)
-    final = samples[-1]
-    cost_lo, rms_lo = final.t - ADAPTED_COST_SPAN, final.t - ADAPTED_RMS_SPAN
-    gap = abs(final.post_I - 3.024)
-    hdot_avg = abs(windowed_mean(samples, "Hdot_post", 5.0, cost_lo, final.t))
-    rms = sync_rms(samples, rms_lo, final.t)
-    crit.check(gap < 0.01, f"|I2({final.t:g}) - 3.024| = {gap:.4f} < 0.01")
+    run, elapsed = timed_pair_run(spec, DEFAULT_CONFIG)
+    t_final = float(run.t[-1])
+    cost_lo, rms_lo = t_final - ADAPTED_COST_SPAN, t_final - ADAPTED_RMS_SPAN
+    gap = abs(run.q[-1] - 3.024)
+    hdot_avg = abs(windowed_mean(run, "Hdot_post", 5.0, cost_lo, t_final))
+    rms = sync_rms(run, rms_lo, t_final)
+    crit.check(gap < 0.01, f"|I2({t_final:g}) - 3.024| = {gap:.4f} < 0.01")
     crit.check(hdot_avg < 0.5,
-               f"|mean avgHdot2_w5[{cost_lo:g},{final.t:g}]| = {hdot_avg:.4f} < 0.5")
-    crit.check(rms < 1e-2, f"sync RMS[{rms_lo:g},{final.t:g}] = {rms:.4f} < 0.01")
+               f"|mean avgHdot2_w5[{cost_lo:g},{t_final:g}]| = {hdot_avg:.4f} < 0.5")
+    crit.check(rms < 1e-2, f"sync RMS[{rms_lo:g},{t_final:g}] = {rms:.4f} < 0.01")
     crit.check_step_cost(elapsed, spec.n_steps, PAIR_US_PER_STEP)
     crit.conclude()
 
@@ -241,10 +239,10 @@ def test_criterion_8_decoupled_identity():
     spec = replace(DEFAULT_SPEC, initial_pre=shared, initial_post=shared)
     config = PairConfig(pre=CANON, post=CANON, K=0.0,
                         adaptation=AdaptationSpec(start_time=100.0))
-    samples = run_pair(spec, config)
-    worst = max(max(abs(v) for v in s.e) for s in samples)
+    run = run_pair(spec, config)
+    worst = float(np.abs(run.e).max())
     elapsed = time.perf_counter() - start
-    crit.check(worst == 0.0, f"max |e| over {len(samples)} samples = {worst:g} (exact zero)")
+    crit.check(worst == 0.0, f"max |e| over {len(run)} samples = {worst:g} (exact zero)")
     crit.check(elapsed < 5.0, f"runtime {elapsed:.3f}s < 5s")
     crit.conclude()
 

@@ -7,11 +7,10 @@ from hrsync.analysis import (
     SweepSummary,
     sweep_K,
     sync_rms,
-    trajectory_arrays,
     windowed_average,
 )
-from hrsync.model import NeuronParams, NeuronState
-from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, TrajectorySample, run_pair
+from hrsync.model import NeuronParams
+from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, Trajectory, run_pair
 
 CANON = NeuronParams.canonical(I=3.024)
 QUIET = NeuronParams.canonical(I=0.85)
@@ -23,11 +22,13 @@ REFERENCE_CONFIG = PairConfig(
 REFERENCE_SYNC_RMS_50_100 = 1.3031743962856264
 
 
-def fake_sample(t, e=(0.0, 0.0, 0.0, 0.0)):
-    state = NeuronState(0.0, 0.0, 0.0, 0.0)
-    shifted = NeuronState(*(v + d for v, d in zip(state.as_tuple(), e)))
-    return TrajectorySample(t=t, pre_state=state, post_state=shifted, post_I=0.85,
-                            e=e, H_pre=0.0, Hdot_pre=0.0, H_post=0.0, Hdot_post=0.0)
+def fake_run(times, e=(0.0, 0.0, 0.0, 0.0)):
+    n = len(times)
+    state = np.zeros((n, 4))
+    zeros = np.zeros(n)
+    return Trajectory(t=np.array(times, dtype=float), pre=state, post=state + e,
+                      q=np.full(n, 0.85), H_pre=zeros, Hdot_pre=zeros,
+                      H_post=zeros, Hdot_post=zeros)
 
 
 class TestWindowedAverage:
@@ -114,27 +115,27 @@ class TestWindowedAverage:
 
 class TestSyncRms:
     def test_identical_trajectories(self):
-        samples = [fake_sample(t * 0.1) for t in range(100)]
-        assert sync_rms(samples, 0.0, 9.9) == 0.0
+        run = fake_run([t * 0.1 for t in range(100)])
+        assert sync_rms(run, 0.0, 9.9) == 0.0
 
     def test_constant_offset(self):
-        samples = [fake_sample(t * 0.1, e=(1.0, 0.0, 0.0, 0.0)) for t in range(100)]
-        assert sync_rms(samples, 0.0, 9.9) == 1.0
+        run = fake_run([t * 0.1 for t in range(100)], e=(1.0, 0.0, 0.0, 0.0))
+        assert sync_rms(run, 0.0, 9.9) == 1.0
 
     def test_norm_is_full_state(self):
-        samples = [fake_sample(0.0, e=(1.0, 1.0, 1.0, 1.0)), fake_sample(1.0, e=(1.0, 1.0, 1.0, 1.0))]
-        assert sync_rms(samples, 0.0, 1.0) == pytest.approx(2.0)
+        run = fake_run([0.0, 1.0], e=(1.0, 1.0, 1.0, 1.0))
+        assert sync_rms(run, 0.0, 1.0) == pytest.approx(2.0)
 
     def test_usage_errors(self):
-        samples = [fake_sample(t * 1.0) for t in range(5)]
+        run = fake_run([t * 1.0 for t in range(5)])
         with pytest.raises(ValueError):
-            sync_rms(samples, 3.0, 1.0)
+            sync_rms(run, 3.0, 1.0)
         with pytest.raises(ValueError):
-            sync_rms(samples, 10.0, 20.0)
+            sync_rms(run, 10.0, 20.0)
 
     def test_reference_run_regression(self):
-        samples = run_pair(SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
-        assert sync_rms(samples, 50.0, 100.0) == pytest.approx(
+        run = run_pair(SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
+        assert sync_rms(run, 50.0, 100.0) == pytest.approx(
             REFERENCE_SYNC_RMS_50_100, rel=1e-9
         )
 
@@ -143,18 +144,17 @@ class TestSweep:
     def test_single_k_matches_direct_run(self):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=5)
         (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG, max_workers=1)
-        samples = run_pair(spec, REFERENCE_CONFIG)
-        arrays = trajectory_arrays(samples)
-        t = arrays["t"]
+        run = run_pair(spec, REFERENCE_CONFIG)
+        t = run.t
         pre = (t >= 50.0) & (t <= 100.0)
         post = (t >= 150.0) & (t <= 200.0)
         assert summary.error is None
-        assert summary.pre_adapt_avg_H == pytest.approx(arrays["H_post"][pre].mean(), rel=1e-12)
+        assert summary.pre_adapt_avg_H == pytest.approx(run.H_post[pre].mean(), rel=1e-12)
         assert summary.post_adapt_avg_Hdot == pytest.approx(
-            arrays["Hdot_post"][post].mean(), rel=1e-12
+            run.Hdot_post[post].mean(), rel=1e-12
         )
         assert summary.pre_adapt_sync_rms == pytest.approx(
-            sync_rms(samples, 50.0, 100.0), rel=1e-12
+            sync_rms(run, 50.0, 100.0), rel=1e-12
         )
 
     def test_parallel_and_serial_agree(self):

@@ -1,13 +1,26 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+from hrsync.analysis import sweep_K
 from hrsync.cli import main
+from hrsync.model import NeuronParams
+from hrsync.sim import AdaptationSpec, PairConfig, SimSpec
 
 ISOLATED_HEADER = "t,x,y,z,w,H,Hdot"
 PAIR_HEADER = "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5"
 SWEEP_HEADER = "K,preH,preHdot,postH,postHdot,preSync,postSync"
+
+#: sha256 of short outputs of each subcommand with default settings. Output
+#: is promised byte-identical for a given config, so a change of arithmetic
+#: order or float formatting anywhere on the path fails here.
+PINNED_SHA256 = {
+    ("pair", "--t-end", "20"): "11724018b8e2a9ae4657c7c917dadee21ec947315f56883eb789cc85b7f2c089",
+    ("isolated", "--t-end", "20"): "b4800c9fc2d3a21a7707dedcad9fb267fb56db9c2ea5ade2506465fabda3576e",
+    ("sweep", "--K-list", "0,5"): "02d526457f4654cad9f93e05129e07751e23ccd9c1c20fc2fd4061f3670dc334",
+}
 
 
 def read_lines(path):
@@ -151,6 +164,20 @@ class TestSweep:
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_windows_follow_the_run(self, tmp_path):
+        # pre: second half of [0, adapt_at]; post: second half of [adapt_at, t_end]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--t-end", "20", "--adapt-at", "10", "--K-list", "1",
+                     "--jobs", "1", "--out", str(out)]) == 0
+        config = PairConfig(pre=NeuronParams.canonical(I=3.024),
+                            post=NeuronParams.canonical(I=0.85),
+                            adaptation=AdaptationSpec(start_time=10.0))
+        (s,) = sweep_K([1.0], SimSpec(dt=0.01, t_end=20.0), config,
+                       pre_window=(5.0, 10.0), post_window=(15.0, 20.0), max_workers=1)
+        want = (s.K, s.pre_adapt_avg_H, s.pre_adapt_avg_Hdot, s.post_adapt_avg_H,
+                s.post_adapt_avg_Hdot, s.pre_adapt_sync_rms, s.post_adapt_sync_rms)
+        assert read_lines(out)[1] == ",".join(repr(v) for v in want)
+
 
 class TestConfigFile:
     def test_config_drives_run(self, tmp_path):
@@ -213,6 +240,35 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["pair", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SHA256), ids=lambda argv: argv[0])
+def test_output_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--t-end", "inf"],
+        ["pair", "--adapt-at", "nan"],
+        ["pair", "--K", "inf"],
+        ["sweep", "--K-list", "0,nan"],
+        ["pair", "--gain", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_input_is_a_usage_error(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrsync", *argv, "--out", str(tmp_path / "x.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
 
 
 class TestInvocation:

@@ -108,9 +108,9 @@ class TestAlongTrajectories:
     def test_chain_rule(self):
         # (H(t+dt) - H(t-dt)) / 2dt tracks Hdot on spiking segments
         spec = SimSpec(dt=1e-3, t_end=20.0, record_every=1)
-        samples = run_isolated(spec, CANON)
-        H = np.array([s.H_pre for s in samples])
-        Hdot = np.array([s.Hdot_pre for s in samples])
+        run = run_isolated(spec, CANON)
+        H = run.H_pre
+        Hdot = run.Hdot_pre
         numeric = (H[2:] - H[:-2]) / (2e-3)
         spiking = np.abs(Hdot[1:-1]) > 1.0
         assert spiking.sum() > 1000
@@ -126,7 +126,7 @@ class TestAlongTrajectories:
         free = run_isolated(
             SimSpec(dt=0.01, t_end=1500.0, record_every=10, transient=500.0), CANON
         )
-        free_avg = np.mean([s.Hdot_pre for s in free])
+        free_avg = np.mean(free.Hdot_pre)
         pair = run_pair(
             spec,
             PairConfig(
@@ -136,7 +136,7 @@ class TestAlongTrajectories:
                 adaptation=AdaptationSpec(start_time=100.0),
             ),
         )
-        guided = [s.Hdot_post for s in pair if 50.0 <= s.t <= 100.0]
+        guided = pair.Hdot_post[(pair.t >= 50.0) & (pair.t <= 100.0)]
         assert abs(free_avg) < 0.5
         assert abs(np.mean(guided)) > 2.0
 
@@ -144,9 +144,9 @@ class TestAlongTrajectories:
         # depolarization demands dissipation (Hdot < 0), repolarization a
         # positive energy contribution, with the conventional negative p
         spec = SimSpec(dt=0.01, t_end=700.0, record_every=1, transient=600.0)
-        samples = run_isolated(spec, CANON)
-        x = np.array([s.pre_state.x for s in samples])
-        hdot = np.array([s.Hdot_pre for s in samples])
+        run = run_isolated(spec, CANON)
+        x = run.pre[:, 0]
+        hdot = run.Hdot_pre
         dx = np.gradient(x, spec.dt)
         rising = (dx > 2.0)
         falling = (dx < -2.0)

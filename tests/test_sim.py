@@ -29,8 +29,8 @@ REFERENCE_E1_RMS_50_100 = 0.3139114042098491
 REFERENCE_I2_AT_200 = 2.668662238531051
 
 
-def sample_at(samples, t):
-    return next(s for s in samples if abs(s.t - t) < 1e-9)
+def index_at(run, t):
+    return int(np.flatnonzero(np.abs(run.t - t) < 1e-9)[0])
 
 
 class TestSpecs:
@@ -60,24 +60,23 @@ class TestSpecs:
 class TestRk4Step:
     def test_exponential_decay(self):
         # one step of dx/dt = -x from 1 with dt=0.1
-        out = rk4_step(lambda x, t: -x, 1.0, 0.0, 0.1)
+        (out,) = rk4_step(lambda s, t: [-x for x in s], (1.0,), 0.0, 0.1)
         assert out == pytest.approx(0.9048375, abs=1e-12)
         assert abs(out - math.exp(-0.1)) < 1e-7
 
     def test_null_field(self):
-        state = np.array([1.0, -2.0, 3.0, 4.0])
-        out = rk4_step(lambda x, t: 0.0 * x, state, 0.0, 0.5)
+        state = (1.0, -2.0, 3.0, 4.0)
+        out = rk4_step(lambda s, t: [0.0 * x for x in s], state, 0.0, 0.5)
         np.testing.assert_array_equal(out, state)
 
     def test_nonfinite_raises_with_time(self):
-        with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                rk4_step(lambda x, t: x * 1e200, np.array([1.0]), 3.0, 1.0)
+        with pytest.raises(DivergenceError) as err:
+            rk4_step(lambda s, t: [x * 1e200 for x in s], (1.0,), 3.0, 1.0)
         assert err.value.t == 3.0
 
     def test_time_dependent_rhs(self):
         # dx/dt = t integrates exactly under RK4 (polynomial of low order)
-        out = rk4_step(lambda x, t: t, 0.0, 0.0, 1.0)
+        (out,) = rk4_step(lambda s, t: (t,), (0.0,), 0.0, 1.0)
         assert out == pytest.approx(0.5, rel=1e-15)
 
     def test_fourth_order_self_convergence(self):
@@ -86,7 +85,7 @@ class TestRk4Step:
         for dt in (0.02, 0.01, 0.005):
             spec = SimSpec(dt=dt, t_end=1.0, record_every=round(1.0 / dt),
                            initial_pre=NeuronState(0.1, 0.2, 0.3, 0.1))
-            finals[dt] = np.array(run_isolated(spec, CANON)[-1].pre_state.as_tuple())
+            finals[dt] = run_isolated(spec, CANON).pre[-1]
         factor = np.linalg.norm(finals[0.02] - finals[0.01]) / np.linalg.norm(
             finals[0.01] - finals[0.005]
         )
@@ -97,7 +96,7 @@ class TestRk4Step:
         for dt in (0.02, 0.01, 1e-4):
             spec = SimSpec(dt=dt, t_end=1.0, record_every=round(1.0 / dt),
                            initial_pre=NeuronState(0.1, 0.2, 0.3, 0.1))
-            finals[dt] = np.array(run_isolated(spec, CANON)[-1].pre_state.as_tuple())
+            finals[dt] = run_isolated(spec, CANON).pre[-1]
         ratio = np.linalg.norm(finals[0.02] - finals[1e-4]) / np.linalg.norm(
             finals[0.01] - finals[1e-4]
         )
@@ -181,14 +180,13 @@ class TestRunPair:
         spec = SimSpec(dt=0.01, t_end=50.0, initial_pre=state, initial_post=state)
         config = PairConfig(pre=CANON, post=CANON, K=0.0,
                             adaptation=AdaptationSpec(start_time=10.0))
-        samples = run_pair(spec, config)
-        assert all(s.e == (0.0, 0.0, 0.0, 0.0) for s in samples)
-        assert all(s.post_I == CANON.I for s in samples)
+        run = run_pair(spec, config)
+        assert np.all(run.e == 0.0)
+        assert np.all(run.q == CANON.I)
 
     def test_recording_policy(self):
         spec = SimSpec(dt=0.01, t_end=2.0, record_every=10, transient=1.0)
-        samples = run_pair(spec, REFERENCE_CONFIG)
-        times = [s.t for s in samples]
+        times = run_pair(spec, REFERENCE_CONFIG).t.tolist()
         assert times[0] == pytest.approx(1.0)
         assert times[-1] == pytest.approx(2.0)
         assert len(times) == 11
@@ -196,12 +194,10 @@ class TestRunPair:
         np.testing.assert_allclose(steps, 0.1, rtol=1e-9)
 
     def test_sample_error_field_is_post_minus_pre(self):
-        samples = run_pair(SimSpec(dt=0.01, t_end=1.0), REFERENCE_CONFIG)
-        for s in samples[::10]:
-            want = tuple(
-                b - a for a, b in zip(s.pre_state.as_tuple(), s.post_state.as_tuple())
-            )
-            assert s.e == want
+        run = run_pair(SimSpec(dt=0.01, t_end=1.0), REFERENCE_CONFIG)
+        for i in range(0, len(run), 10):
+            want = tuple(b - a for a, b in zip(run.pre[i].tolist(), run.post[i].tolist()))
+            assert tuple(run.e[i].tolist()) == want
 
     def test_determinism(self):
         a = run_pair(SimSpec(dt=0.01, t_end=5.0), REFERENCE_CONFIG)
@@ -209,25 +205,26 @@ class TestRunPair:
         assert a == b
 
     def test_adaptation_recovers_most_of_the_current_gap(self):
-        samples = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
-        assert sample_at(samples, 100.0).post_I == QUIET.I
-        final = sample_at(samples, 200.0).post_I
+        run = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
+        assert run.q[index_at(run, 100.0)] == QUIET.I
+        final = run.q[index_at(run, 200.0)]
         assert final == pytest.approx(REFERENCE_I2_AT_200, rel=1e-9)
         # most of the 0.85 -> 3.024 gap is gone; the slow-current mismatch
         # makes the remainder decay only on the z/w time scales
         assert abs(final - CANON.I) < 0.2 * abs(QUIET.I - CANON.I)
 
     def test_parameter_gap_decays_monotonically_after_adaptation(self):
-        samples = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
-        gaps = [abs(sample_at(samples, float(t)).post_I - CANON.I)
+        run = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
+        gaps = [abs(run.q[index_at(run, float(t))] - CANON.I)
                 for t in range(110, 201, 10)]
         initial_gap = abs(QUIET.I - CANON.I)
         assert all(b <= a + 0.05 * initial_gap for a, b in zip(gaps, gaps[1:]))
 
     def test_forced_sync_residual_error_regression(self):
-        samples = run_pair(REFERENCE_SPEC,
-                           PairConfig(pre=CANON, post=QUIET, K=5.0))
-        e1_sq = [s.e[0] ** 2 for s in samples if 50.0 <= s.t <= 100.0]
+        run = run_pair(REFERENCE_SPEC,
+                       PairConfig(pre=CANON, post=QUIET, K=5.0))
+        window = (run.t >= 50.0) & (run.t <= 100.0)
+        e1_sq = [e1 ** 2 for e1 in run.e[window, 0].tolist()]
         rms = math.sqrt(sum(e1_sq) / len(e1_sq))
         assert rms == pytest.approx(REFERENCE_E1_RMS_50_100, rel=1e-9)
         assert rms > 0.0
@@ -242,14 +239,15 @@ class TestRunPair:
     def test_energy_uses_live_adapted_current(self):
         from hrsync.energy import energy_derivative, energy_report
 
-        samples = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
-        s = sample_at(samples, 150.0)
-        live = QUIET.with_current(s.post_I)
-        assert s.Hdot_post == pytest.approx(
-            energy_derivative(s.post_state, live), rel=1e-12
+        run = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
+        i = index_at(run, 150.0)
+        post_state = NeuronState(*run.post[i].tolist())
+        live = QUIET.with_current(float(run.q[i]))
+        assert run.Hdot_post[i] == pytest.approx(
+            energy_derivative(post_state, live), rel=1e-12
         )
-        stale = energy_report(s.post_state, QUIET).Hdot
-        assert s.Hdot_post != pytest.approx(stale, rel=1e-6)
+        stale = energy_report(post_state, QUIET).Hdot
+        assert run.Hdot_post[i] != pytest.approx(stale, rel=1e-6)
 
 
 class TestRunIsolated:
@@ -258,28 +256,27 @@ class TestRunIsolated:
                             m=1, s=1, h=0, n=0, k=0, r=0, l=0, p=-1)
         start = NeuronState(0.0, 0.0, 0.0, 0.0)
         spec = SimSpec(dt=0.1, t_end=5.0, initial_pre=start)
-        samples = run_isolated(spec, null)
-        assert all(s.pre_state == start for s in samples)
+        run = run_isolated(spec, null)
+        assert np.all(run.pre == start.as_tuple())
 
     def test_samples_mirror_single_neuron(self):
-        samples = run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON)
-        for s in samples[::20]:
-            assert s.pre_state == s.post_state
-            assert s.e == (0.0, 0.0, 0.0, 0.0)
-            assert s.H_pre == s.H_post and s.Hdot_pre == s.Hdot_post
-            assert s.post_I == CANON.I
+        run = run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON)
+        np.testing.assert_array_equal(run.pre, run.post)
+        assert np.all(run.e == 0.0)
+        np.testing.assert_array_equal(run.H_pre, run.H_post)
+        np.testing.assert_array_equal(run.Hdot_pre, run.Hdot_post)
+        assert np.all(run.q == CANON.I)
 
     def test_long_run_energy_balance(self):
         spec = SimSpec(dt=0.01, t_end=2000.0, record_every=10, transient=500.0)
-        samples = run_isolated(spec, CANON)
-        mean_hdot = np.mean([s.Hdot_pre for s in samples])
+        mean_hdot = np.mean(run_isolated(spec, CANON).Hdot_pre)
         assert abs(mean_hdot) < 0.5
 
     def test_low_current_goes_quiescent(self):
         spec = SimSpec(dt=0.01, t_end=1000.0, record_every=5)
-        samples = run_isolated(spec, QUIET)
-        x = np.array([s.pre_state.x for s in samples])
-        t = np.array([s.t for s in samples])
+        run = run_isolated(spec, QUIET)
+        x = run.pre[:, 0]
+        t = run.t
         first = np.ptp(x[t <= 100.0])
         last = np.ptp(x[t >= 900.0])
         assert last < first
