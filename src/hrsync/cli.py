@@ -12,7 +12,10 @@ Three subcommands map onto the reference experiments:
 Options come from an optional flat ``key = value`` config file plus command
 line flags; flags win. Unknown config keys are rejected. All data output is
 CSV (UTF-8, LF line endings, shortest round-trip float formatting) and is
-byte-identical across repeated invocations of the same configuration.
+byte-identical across repeated invocations of the same configuration on a
+given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
+``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
+bytes hold for a given libm build.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
 4 I/O error.

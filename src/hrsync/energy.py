@@ -17,17 +17,24 @@ expanded polynomial, so the identity ``Hdot == grad . f_d`` holds to the last
 bit by construction. With the conventional negative conductance ``p`` the
 spike's repolarization phase shows up as a demand of energy (Hdot > 0).
 
-Division guards: ``a != 0`` and ``m*s != 0`` are enforced when the parameter
-record is constructed, so every function here is total over valid inputs.
+One kernel, :func:`energy_terms`, computes all of it from the flat parameter
+values that :func:`hrsync.model.field` takes, so a live adapted parameter is
+substituted the same way in both. The dissipative part is folded into the
+kernel; :func:`hrsync.model.dissipative_field` reads it from there.
+
+Division guards: the energy divides by ``a`` and ``m*s``. A parameter record
+with either at zero is rejected when it is constructed, and a run that adapts
+one of them stops with a divergence error before it reaches zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import NeuronParams, NeuronState, make_dissipative_field
+from .model import NeuronParams, NeuronState
 
 __all__ = [
     "EnergyReport",
@@ -35,7 +42,13 @@ __all__ = [
     "energy_gradient",
     "energy_derivative",
     "energy_report",
+    "energy_terms",
+    "POLE_PARAMS",
 ]
+
+#: Parameters whose zero is a pole of the energy, which divides by ``a`` and
+#: ``m*s``.
+POLE_PARAMS = ("a", "m", "s")
 
 
 @dataclass(frozen=True)
@@ -51,46 +64,44 @@ class EnergyReport:
     gradient: tuple[float, float, float, float]
 
 
-def make_energy_eval(params: NeuronParams):
-    """Bind ``params`` into a kernel ``(x, y, z, w, I) -> (H, Hdot)``.
+def energy_terms(x: float, y: float, z: float, w: float, P: Sequence[float]):
+    """``(H, Hdot, gradient, f_d)`` at (x, y, z, w) for the flat parameter
+    values ``P`` (``dataclasses.astuple(params)``).
 
-    The external current is an argument because the dissipative field, and
-    hence ``Hdot``, depends on the live value of ``I`` when the current is
-    being adapted. ``H`` itself does not contain ``I``.
+    ``f_d`` is the dissipative part of the field, and ``Hdot`` is the inner
+    product of the gradient with it.
     """
-    a, d, f, g, p = params.a, params.d, params.f, params.g, params.p
-    cc = params.m * params.s * params.d - params.g * params.n * params.r
+    a, b, c, d, xi, I, e, f, g, m, s, h, n, k, r, l, p = P
+    ms = m * s
+    cc = ms * d - g * n * r
     cc_a = cc / a
-    dams = d / (a * params.m * params.s)
+    dams_cc = d / (a * m * s) * cc
     pa = p / a
     two_pa = 2.0 * pa
-    two_thirds_f = (2.0 / 3.0) * f
-    f_d = make_dissipative_field(params)
-
-    def evaluate(x: float, y: float, z: float, w: float, I: float):
-        x2 = x * x
-        H = pa * (
-            two_thirds_f * x2 * x
-            + cc_a * x2
-            + a * y * y
-            + dams * cc * z * z
-            - 2.0 * d * y * z
-            + 2.0 * g * x * w
-        )
-        gx = two_pa * (f * x2 + cc_a * x + g * w)
-        gy = two_pa * (a * y - d * z)
-        gz = two_pa * (dams * cc * z - d * y)
-        gw = two_pa * (g * x)
-        d1, d2, d3, d4 = f_d(x, y, z, w, I)
-        Hdot = gx * d1 + gy * d2 + gz * d3 + gw * d4
-        return H, Hdot, (gx, gy, gz, gw)
-
-    return evaluate
+    x2 = x * x
+    H = pa * (
+        (2.0 / 3.0) * f * x2 * x
+        + cc_a * x2
+        + a * y * y
+        + dams_cc * z * z
+        - 2.0 * d * y * z
+        + 2.0 * g * x * w
+    )
+    gx = two_pa * (f * x2 + cc_a * x + g * w)
+    gy = two_pa * (a * y - d * z)
+    gz = two_pa * (dams_cc * z - d * y)
+    gw = two_pa * (g * x)
+    d1 = b * x2 - c * x2 * x + xi * I
+    d2 = e - y
+    d3 = ms * h - m * z
+    d4 = n * r * l - n * k * w
+    Hdot = gx * d1 + gy * d2 + gz * d3 + gw * d4
+    return H, Hdot, (gx, gy, gz, gw), (d1, d2, d3, d4)
 
 
 def energy(state: NeuronState, params: NeuronParams) -> float:
     """Energy of the neuron at ``state``."""
-    H, _, _ = make_energy_eval(params)(*state.as_tuple(), params.I)
+    H, _, _, _ = energy_terms(*state.as_tuple(), astuple(params))
     return H
 
 
@@ -101,7 +112,7 @@ def energy_gradient(state: NeuronState, params: NeuronParams) -> np.ndarray:
 
         ( f*x^2 + (C/a)*x + g*w,  a*y - d*z,  (d/(a*m*s))*C*z - d*y,  g*x )
     """
-    _, _, grad = make_energy_eval(params)(*state.as_tuple(), params.I)
+    _, _, grad, _ = energy_terms(*state.as_tuple(), astuple(params))
     return np.array(grad)
 
 
@@ -112,11 +123,11 @@ def energy_derivative(state: NeuronState, params: NeuronParams) -> float:
     term average vanishes on the free attractor and is nonzero for a neuron
     held off its natural attractor by a coupling device.
     """
-    _, Hdot, _ = make_energy_eval(params)(*state.as_tuple(), params.I)
+    _, Hdot, _, _ = energy_terms(*state.as_tuple(), astuple(params))
     return Hdot
 
 
 def energy_report(state: NeuronState, params: NeuronParams) -> EnergyReport:
     """Bundle ``H``, ``Hdot`` and the gradient in one evaluation."""
-    H, Hdot, grad = make_energy_eval(params)(*state.as_tuple(), params.I)
+    H, Hdot, grad, _ = energy_terms(*state.as_tuple(), astuple(params))
     return EnergyReport(H=H, Hdot=Hdot, gradient=grad)

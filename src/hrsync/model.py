@@ -13,6 +13,13 @@ literal 1 there would break the exact splitting of the field into a
 conservative part (orthogonal to the energy gradient) and a dissipative
 remainder, which is what the :mod:`hrsync.energy` module relies on.
 
+One kernel, :func:`field`, evaluates the equations from the state and the
+flat parameter values in :class:`NeuronParams` field order
+(``dataclasses.astuple``), so an adapted parameter's live value is substituted
+at its :data:`PARAM_INDEX`. The field is linear in every parameter and
+``d f / d q`` has a single nonzero component; :data:`SENSITIVITY` holds that
+``(row, value)`` pair per adaptable parameter.
+
 All arithmetic is on dimensionless floats; the physical units quoted in the
 field docs are carried as documentation only.
 """
@@ -20,15 +27,19 @@ field docs are carried as documentation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, fields, replace
 
 __all__ = [
     "ADAPTABLE_PARAMS",
+    "PARAM_INDEX",
+    "SENSITIVITY",
     "NeuronParams",
     "NeuronState",
     "StateDerivative",
     "conservative_field",
     "dissipative_field",
+    "field",
     "param_sensitivity",
     "vector_field",
 ]
@@ -104,13 +115,6 @@ class NeuronParams:
         return replace(self, I=I)
 
 
-#: Parameters the adaptive law may target. ``p`` is excluded: it does not
-#: enter the vector field, so its sensitivity is identically zero.
-ADAPTABLE_PARAMS: tuple[str, ...] = tuple(
-    fld.name for fld in fields(NeuronParams) if fld.name != "p"
-)
-
-
 @dataclass(frozen=True)
 class NeuronState:
     """Phase-space point (x, y, z, w)."""
@@ -152,60 +156,74 @@ class StateDerivative:
         return (self.dx, self.dy, self.dz, self.dw)
 
 
-def make_field(params: NeuronParams):
-    """Bind ``params`` into a fast plain-float kernel ``f(x, y, z, w, I)``.
+#: Position of each parameter in the flat tuple ``dataclasses.astuple(params)``
+#: that the kernels take. It follows the field order of :class:`NeuronParams`,
+#: so ``p`` comes last.
+PARAM_INDEX: dict[str, int] = {fld.name: i for i, fld in enumerate(fields(NeuronParams))}
 
-    The external current is left as an argument so a live adapted value can
-    be substituted without rebuilding the closure. This is the single source
-    of the model equations; every public entry point routes through it.
+
+def field(x: float, y: float, z: float, w: float, P: Sequence[float]) -> tuple:
+    """The model equations at (x, y, z, w) for the flat parameter values ``P``.
+
+    This is the single source of the equations. Callers build
+    ``astuple(params)`` once per run; a run that adapts a parameter passes a
+    list holding its live value at the parameter's :data:`PARAM_INDEX`.
     """
-    a, b, c, d, xi = params.a, params.b, params.c, params.d, params.xi
-    e, f, g = params.e, params.f, params.g
-    m, s, h = params.m, params.s, params.h
-    n, k, r, l = params.n, params.k, params.r, params.l
-
-    def field(x: float, y: float, z: float, w: float, I: float):
-        x2 = x * x
-        return (
-            a * y + b * x2 - c * x2 * x - d * z + xi * I,
-            e - f * x2 - y - g * w,
-            m * (-z + s * (x + h)),
-            n * (-k * w + r * (y + l)),
-        )
-
-    return field
+    a, b, c, d, xi, I, e, f, g, m, s, h, n, k, r, l, p = P
+    x2 = x * x
+    return (
+        a * y + b * x2 - c * x2 * x - d * z + xi * I,
+        e - f * x2 - y - g * w,
+        m * (-z + s * (x + h)),
+        n * (-k * w + r * (y + l)),
+    )
 
 
-def make_dissipative_field(params: NeuronParams):
-    """Kernel for the dissipative part of the field, ``f_d(x, y, z, w, I)``.
+_XI, _I, _M, _S, _H, _N, _K, _R, _L = (PARAM_INDEX[name] for name in "xi I m s h n k r l".split())
 
-    f_d = (b*x^2 - c*x^3 + xi*I, e - y, m*s*h - m*z, n*r*l - n*k*w)
-    """
-    b, c, xi, e = params.b, params.c, params.xi, params.e
-    m, msh = params.m, params.m * params.s * params.h
-    nrl, nk = params.n * params.r * params.l, params.n * params.k
+#: ``target -> (row, value(x, y, z, w, P))``. The partial derivative of the
+#: field with respect to each adaptable parameter has exactly one nonzero
+#: component: ``value`` in row ``row``. The adaptive law and
+#: :func:`param_sensitivity` both read this table.
+SENSITIVITY = {
+    "a": (0, lambda x, y, z, w, P: y),
+    "b": (0, lambda x, y, z, w, P: x * x),
+    "c": (0, lambda x, y, z, w, P: -x * x * x),
+    "d": (0, lambda x, y, z, w, P: -z),
+    "xi": (0, lambda x, y, z, w, P: P[_I]),
+    "I": (0, lambda x, y, z, w, P: P[_XI]),
+    "e": (1, lambda x, y, z, w, P: 1.0),
+    "f": (1, lambda x, y, z, w, P: -x * x),
+    "g": (1, lambda x, y, z, w, P: -w),
+    "m": (2, lambda x, y, z, w, P: -z + P[_S] * (x + P[_H])),
+    "s": (2, lambda x, y, z, w, P: P[_M] * (x + P[_H])),
+    "h": (2, lambda x, y, z, w, P: P[_M] * P[_S]),
+    "n": (3, lambda x, y, z, w, P: -P[_K] * w + P[_R] * (y + P[_L])),
+    "k": (3, lambda x, y, z, w, P: -P[_N] * w),
+    "r": (3, lambda x, y, z, w, P: P[_N] * (y + P[_L])),
+    "l": (3, lambda x, y, z, w, P: P[_N] * P[_R]),
+}
 
-    def field(x: float, y: float, z: float, w: float, I: float):
-        x2 = x * x
-        return (
-            b * x2 - c * x2 * x + xi * I,
-            e - y,
-            msh - m * z,
-            nrl - nk * w,
-        )
-
-    return field
+#: Parameters the adaptive law may target. ``p`` is excluded: it does not
+#: enter the vector field, so its sensitivity is identically zero.
+ADAPTABLE_PARAMS: tuple[str, ...] = tuple(SENSITIVITY)
 
 
 def vector_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
     """Right-hand side of the equations of motion at ``state``."""
-    return StateDerivative(*make_field(params)(*state.as_tuple(), params.I))
+    return StateDerivative(*field(*state.as_tuple(), astuple(params)))
 
 
 def dissipative_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
     """Dissipative part of the field: the component responsible for the
-    neuron's energy exchange with its environment."""
-    return StateDerivative(*make_dissipative_field(params)(*state.as_tuple(), params.I))
+    neuron's energy exchange with its environment.
+
+    f_d = (b*x^2 - c*x^3 + xi*I, e - y, m*s*h - m*z, n*r*l - n*k*w), taken
+    from the energy kernel, which folds it into ``Hdot = grad(H) . f_d``.
+    """
+    from .energy import energy_terms  # the energy module builds on this one
+
+    return StateDerivative(*energy_terms(*state.as_tuple(), astuple(params))[3])
 
 
 def conservative_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
@@ -229,31 +247,15 @@ def param_sensitivity(
     """Partial derivative of the vector field with respect to one parameter.
 
     ``which`` must name a :class:`NeuronParams` field other than ``p``. The
-    result drives the adaptive law; for ``which="I"`` it is the constant
-    (xi, 0, 0, 0).
+    value comes from :data:`SENSITIVITY`, the table the adaptive law reads;
+    for ``which="I"`` it is the constant (xi, 0, 0, 0).
     """
-    if which not in ADAPTABLE_PARAMS:
+    if which not in SENSITIVITY:
         raise ValueError(
             f"unknown or non-adaptable parameter {which!r}; "
             f"expected one of {ADAPTABLE_PARAMS}"
         )
-    x, y, z, w = state.as_tuple()
-    per_param = {
-        "a": (y, 0.0, 0.0, 0.0),
-        "b": (x * x, 0.0, 0.0, 0.0),
-        "c": (-x * x * x, 0.0, 0.0, 0.0),
-        "d": (-z, 0.0, 0.0, 0.0),
-        "xi": (params.I, 0.0, 0.0, 0.0),
-        "I": (params.xi, 0.0, 0.0, 0.0),
-        "e": (0.0, 1.0, 0.0, 0.0),
-        "f": (0.0, -x * x, 0.0, 0.0),
-        "g": (0.0, -w, 0.0, 0.0),
-        "m": (0.0, 0.0, -z + params.s * (x + params.h), 0.0),
-        "s": (0.0, 0.0, params.m * (x + params.h), 0.0),
-        "h": (0.0, 0.0, params.m * params.s, 0.0),
-        "n": (0.0, 0.0, 0.0, -params.k * w + params.r * (y + params.l)),
-        "k": (0.0, 0.0, 0.0, -params.n * w),
-        "r": (0.0, 0.0, 0.0, params.n * (y + params.l)),
-        "l": (0.0, 0.0, 0.0, params.n * params.r),
-    }
-    return StateDerivative(*per_param[which])
+    row, value = SENSITIVITY[which]
+    out = [0.0, 0.0, 0.0, 0.0]
+    out[row] = value(*state.as_tuple(), astuple(params))
+    return StateDerivative(*out)

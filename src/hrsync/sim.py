@@ -16,6 +16,15 @@ Runge-Kutta step as the neurons, so there is no operator-splitting error.
 Activation is decided once per step from the step's left endpoint; no
 sub-step event location is attempted (the switch-time error is O(dt)).
 
+Every target takes the same path. Each neuron's parameters are one flat
+sequence, the receiver's with the live value ``q`` written at the target's
+index, and both go to the one field kernel and the one energy kernel. Since
+``d f / d q`` has a single nonzero row, the law is ``dq/dt = -gain*s*e_row``
+with ``(row, s)`` read from :data:`hrsync.model.SENSITIVITY`. The energy
+divides by ``a`` and ``m*s``, so a run that adapts ``a``, ``m`` or ``s``
+stops with :class:`DivergenceError` once that parameter reaches zero or
+changes sign.
+
 Both the pair and the lone neuron (:func:`run_isolated`) go through one
 integration loop and one RK4 over tuples of Python floats, recording into a
 columnar :class:`Trajectory`. Runs are deterministic: identical specs and
@@ -26,18 +35,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .energy import make_energy_eval
-from .model import (
-    ADAPTABLE_PARAMS,
-    NeuronParams,
-    NeuronState,
-    make_field,
-    param_sensitivity,
-)
+from .energy import POLE_PARAMS, energy_terms
+from .model import ADAPTABLE_PARAMS, PARAM_INDEX, SENSITIVITY, NeuronParams, NeuronState, field
 
 __all__ = [
     "AdaptationSpec",
@@ -196,10 +199,12 @@ def rk4_step(f, state: tuple, t: float, dt: float) -> tuple:
     return out
 
 
-def _adapted_params(config: PairConfig, value: float) -> NeuronParams:
-    """Postsynaptic parameters with the adapted target replaced by ``value``."""
+def _receiver_params(config: PairConfig) -> tuple[str, int, list]:
+    """``(target, index, live)``: the adapted target, its index in the flat
+    parameter tuple, and the receiver's parameters as a list. A kernel writes
+    the live value to ``live[index]`` before each use."""
     target = config.adaptation.target if config.adaptation else "I"
-    return replace(config.post, **{target: value})
+    return target, PARAM_INDEX[target], list(astuple(config.post))
 
 
 def _make_pair_rhs(config: PairConfig):
@@ -209,50 +214,26 @@ def _make_pair_rhs(config: PairConfig):
     Layout: (pre x,y,z,w, post x,y,z,w, adapted parameter). The adapted
     parameter's derivative is zero in the idle kernel.
     """
-    field_pre = make_field(config.pre)
-    field_post = make_field(config.post)
+    P_pre = astuple(config.pre)
+    target, i, P_post = _receiver_params(config)
+    row, sens = SENSITIVITY[target]
+    post_row = 4 + row
     K = config.K
-    I_pre = config.pre.I
-    I_post = config.post.I
-    adapt = config.adaptation
-    target = adapt.target if adapt is not None else "I"
-    gain = adapt.gain if adapt is not None else 0.0
+    neg_gain = -config.adaptation.gain if config.adaptation else 0.0
 
-    if target == "I":
-        # Fast path: the live parameter feeds straight into the field kernels,
-        # and the sensitivity is the constant (xi, 0, 0, 0) of the drive.
-        xi_pre = config.pre.xi
+    def make(active: bool):
+        def rhs(joint, t: float) -> tuple:
+            x1, y1, z1, w1, x2, y2, z2, w2, q = joint
+            d1 = field(x1, y1, z1, w1, P_pre)
+            P_post[i] = q
+            dx2, dy2, dz2, dw2 = field(x2, y2, z2, w2, P_post)
+            if active:
+                dq = neg_gain * sens(x1, y1, z1, w1, P_pre) * (joint[post_row] - joint[row])
+            else:
+                dq = 0.0
+            return (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
 
-        def make(active: bool):
-            def rhs(joint, t: float) -> tuple:
-                x1, y1, z1, w1, x2, y2, z2, w2, q = joint
-                d1 = field_pre(x1, y1, z1, w1, I_pre)
-                dx2, dy2, dz2, dw2 = field_post(x2, y2, z2, w2, q)
-                dq = -gain * xi_pre * (x2 - x1) if active else 0.0
-                return (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
-
-            return rhs
-
-    else:
-        # General target: rebuild the postsynaptic field around the live
-        # parameter value. Slow, but only non-current targets pay for it.
-        def make(active: bool):
-            def rhs(joint, t: float) -> tuple:
-                x1, y1, z1, w1, x2, y2, z2, w2, q = joint
-                d1 = field_pre(x1, y1, z1, w1, I_pre)
-                live = make_field(_adapted_params(config, q))
-                dx2, dy2, dz2, dw2 = live(x2, y2, z2, w2, I_post)
-                if active:
-                    sens = param_sensitivity(
-                        NeuronState(x1, y1, z1, w1), config.pre, target
-                    ).as_tuple()
-                    err = (x2 - x1, y2 - y1, z2 - z1, w2 - w1)
-                    dq = -gain * math.fsum(se * ee for se, ee in zip(sens, err))
-                else:
-                    dq = 0.0
-                return (*d1, dx2 + K * (x1 - x2), dy2, dz2, dw2, dq)
-
-            return rhs
+        return rhs
 
     return make(False), make(True)
 
@@ -276,14 +257,16 @@ def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
 
 
 def _integrate(spec: SimSpec, state: tuple, f_idle, f_active, start: float,
-               guarded: int, row) -> np.ndarray:
+               guarded: int, row, signed: str | None = None) -> np.ndarray:
     """RK4 from t=0 to ``spec.t_end``; returns the recorded rows, flattened.
 
     A step uses ``f_active`` when its left endpoint is at or past ``start``,
     else ``f_idle``. The first ``guarded`` state components are held to the
-    divergence bound. Every ``spec.record_every`` steps from ``transient``
-    on, ``row(t, state)`` is appended to one flat float buffer, which is
-    returned as a read-only array without copying.
+    divergence bound. If ``signed`` names the last component, that component
+    must keep the sign it starts with and never reach zero. Every
+    ``spec.record_every`` steps from ``transient`` on, ``row(t, state)`` is
+    appended to one flat float buffer, which is returned as a read-only
+    array without copying.
     """
     dt = spec.dt
     rec = spec.record_every
@@ -291,6 +274,7 @@ def _integrate(spec: SimSpec, state: tuple, f_idle, f_active, start: float,
     rows = array("d")
     put = rows.extend
     n_steps = spec.n_steps
+    sign = state[-1]
     for i in range(n_steps + 1):
         t = i * dt
         if i % rec == 0 and t >= record_from:
@@ -303,6 +287,12 @@ def _integrate(spec: SimSpec, state: tuple, f_idle, f_active, start: float,
                 (i + 1) * dt,
                 f"state left the boundedness guard (|component| >= {DIVERGENCE_BOUND:g})"
                 f" at t={(i + 1) * dt:g}",
+            )
+        if signed and not state[-1] * sign > 0.0:
+            raise DivergenceError(
+                (i + 1) * dt,
+                f"adapted parameter {signed!r} reached zero or changed sign at"
+                f" t={(i + 1) * dt:g}; the energy divides by a and m*s",
             )
     table = np.frombuffer(rows, dtype=float)
     table.flags.writeable = False
@@ -317,28 +307,21 @@ def run_pair(spec: SimSpec, config: PairConfig) -> Trajectory:
     neuron uses the live adapted value.
     """
     adapt = config.adaptation
-    target = adapt.target if adapt is not None else "I"
     start = adapt.start_time if adapt is not None else math.inf
-    q0 = getattr(config.post, target)
-
-    energy_pre = make_energy_eval(config.pre)
-    I_pre = config.pre.I
-    I_post = config.post.I
-    if target == "I":
-        energy_post_at = make_energy_eval(config.post)
-    else:
-        def energy_post_at(x, y, z, w, q):
-            return make_energy_eval(_adapted_params(config, q))(x, y, z, w, I_post)
+    P_pre = astuple(config.pre)
+    target, i, P_post = _receiver_params(config)
 
     def row(t: float, joint: tuple) -> tuple:
         x1, y1, z1, w1, x2, y2, z2, w2, q = joint
-        H1, Hdot1, _ = energy_pre(x1, y1, z1, w1, I_pre)
-        H2, Hdot2, _ = energy_post_at(x2, y2, z2, w2, q)
+        H1, Hdot1, _, _ = energy_terms(x1, y1, z1, w1, P_pre)
+        P_post[i] = q
+        H2, Hdot2, _, _ = energy_terms(x2, y2, z2, w2, P_post)
         return (t, *joint, H1, Hdot1, H2, Hdot2)
 
-    joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q0)
+    joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), P_post[i])
     f_idle, f_active = _make_pair_rhs(config)
-    table = _integrate(spec, joint, f_idle, f_active, start, 8, row).reshape(-1, 14)
+    signed = target if target in POLE_PARAMS else None
+    table = _integrate(spec, joint, f_idle, f_active, start, 8, row, signed).reshape(-1, 14)
     return Trajectory(
         t=table[:, 0],
         pre=table[:, 1:5],
@@ -357,20 +340,18 @@ def run_isolated(spec: SimSpec, params: NeuronParams) -> Trajectory:
     The lone neuron fills both state slots (so the error is zero), and ``q``
     is its constant external current.
     """
-    field = make_field(params)
-    energy_at = make_energy_eval(params)
-    I = params.I
+    P = astuple(params)
 
     def f(state, t: float) -> tuple:
-        return field(*state, I)
+        return field(*state, P)
 
     def row(t: float, state: tuple) -> tuple:
-        H, Hdot, _ = energy_at(*state, I)
+        H, Hdot, _, _ = energy_terms(*state, P)
         return (t, *state, H, Hdot)
 
     table = _integrate(spec, spec.initial_pre.as_tuple(), f, f, math.inf, 4, row).reshape(-1, 7)
     state = table[:, 1:5]
-    q = np.full(len(table), I)
+    q = np.full(len(table), params.I)
     q.flags.writeable = False
     return Trajectory(
         t=table[:, 0],

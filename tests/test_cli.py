@@ -13,13 +13,33 @@ ISOLATED_HEADER = "t,x,y,z,w,H,Hdot"
 PAIR_HEADER = "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5"
 SWEEP_HEADER = "K,preH,preHdot,postH,postHdot,preSync,postSync"
 
-#: sha256 of short outputs of each subcommand with default settings. Output
-#: is promised byte-identical for a given config, so a change of arithmetic
-#: order or float formatting anywhere on the path fails here.
+#: sha256 of short outputs, each recorded before the change it guards, as
+#: ``id: (argv, config file lines, sha256)``. Output is promised
+#: byte-identical for a given config, so a change of arithmetic order or
+#: float formatting anywhere on the path fails here. The last two adapt the
+#: receiver's ``f``, and its current at gain 2.7 against a sender with
+#: ``xi = 1.3``, where the adaptive law's products round.
 PINNED_SHA256 = {
-    ("pair", "--t-end", "20"): "11724018b8e2a9ae4657c7c917dadee21ec947315f56883eb789cc85b7f2c089",
-    ("isolated", "--t-end", "20"): "b4800c9fc2d3a21a7707dedcad9fb267fb56db9c2ea5ade2506465fabda3576e",
-    ("sweep", "--K-list", "0,5"): "02d526457f4654cad9f93e05129e07751e23ccd9c1c20fc2fd4061f3670dc334",
+    "pair": (
+        ("pair", "--t-end", "20"), (),
+        "11724018b8e2a9ae4657c7c917dadee21ec947315f56883eb789cc85b7f2c089",
+    ),
+    "isolated": (
+        ("isolated", "--t-end", "20"), (),
+        "b4800c9fc2d3a21a7707dedcad9fb267fb56db9c2ea5ade2506465fabda3576e",
+    ),
+    "sweep": (
+        ("sweep", "--K-list", "0,5"), (),
+        "02d526457f4654cad9f93e05129e07751e23ccd9c1c20fc2fd4061f3670dc334",
+    ),
+    "pair_target_f": (
+        ("pair", "--t-end", "20", "--adapt-at", "10"), ("adapt_target = f", "post.f = 5.1"),
+        "d5d19031e3e390c87dd5c3b810709f28b77151c39026d5c85c0f5ec59decf1a6",
+    ),
+    "pair_gain_xi": (
+        ("pair", "--t-end", "20", "--adapt-at", "10"), ("gain = 2.7", "pre.xi = 1.3"),
+        "6763d1ca0fabb3756518b4df133dbd11e810fe9399df8f42d32e2e1766d602ac",
+    ),
 }
 
 
@@ -242,11 +262,14 @@ class TestConfigFile:
         assert main(["pair", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-@pytest.mark.parametrize("argv", list(PINNED_SHA256), ids=lambda argv: argv[0])
-def test_output_bytes_are_pinned(tmp_path, argv):
+@pytest.mark.parametrize("name", list(PINNED_SHA256))
+def test_output_bytes_are_pinned(tmp_path, name):
+    argv, config_lines, digest = PINNED_SHA256[name]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(line + "\n" for line in config_lines), encoding="utf-8")
     out = tmp_path / "out.csv"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[argv]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -269,6 +292,29 @@ def test_non_finite_input_is_a_usage_error(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, config_lines",
+    [
+        ("a", ["adapt_target = a", "post.a = 0.05", "gain = 5", "adapt_at = 0"]),
+        ("m", ["adapt_target = m", "post.m = 0.0005", "adapt_at = 0"]),
+    ],
+)
+def test_adapted_pole_is_a_divergence(tmp_path, name, config_lines):
+    # the energy divides by a and m*s; adapting either through zero stops the run
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(line + "\n" for line in config_lines), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrsync", "pair", "--t-end", "50", "--config", str(config),
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"adapted parameter {name!r}" in proc.stderr
+    assert "t=" in proc.stderr
 
 
 class TestInvocation:

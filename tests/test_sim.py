@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hrsync.model import NeuronParams, NeuronState, vector_field
+from hrsync.model import ADAPTABLE_PARAMS, NeuronParams, NeuronState, vector_field
 from hrsync.sim import (
     AdaptationSpec,
     DivergenceError,
@@ -14,6 +15,8 @@ from hrsync.sim import (
     run_isolated,
     run_pair,
 )
+
+from oracles import as_floats, fd_param_sensitivity, field_exact
 
 CANON = NeuronParams.canonical(I=3.024)
 QUIET = NeuronParams.canonical(I=0.85)
@@ -148,20 +151,30 @@ class TestCoupledDerivative:
         np.testing.assert_array_equal(d3[:4], d0[:4])
         np.testing.assert_array_equal(d3[5:], d0[5:])
 
-    def test_general_target_matches_sensitivity_rule(self):
-        from hrsync.model import param_sensitivity
-
+    @pytest.mark.parametrize("target", ADAPTABLE_PARAMS)
+    def test_general_target_matches_sensitivity_rule(self, target):
+        # the live value q sits away from the receiver's own, so every
+        # component must come from the substituted parameter set; the error
+        # differs in every component, so only the right row gives dq
+        gain, K = 2.0, 2.0
         config = PairConfig(
-            pre=CANON, post=QUIET, K=2.0,
-            adaptation=AdaptationSpec(target="b", gain=2.0, start_time=0.0),
+            pre=CANON, post=QUIET, K=K,
+            adaptation=AdaptationSpec(target=target, gain=gain, start_time=0.0),
         )
-        pre = (0.4, -0.3, 1.0, 0.2)
-        post = (0.1, 0.5, 0.8, -0.1)
-        got = coupled_derivative(self.joint(pre, post, QUIET.b), config, 1.0)
-        sens = param_sensitivity(NeuronState(*pre), CANON, "b").as_tuple()
-        err = tuple(b - a for a, b in zip(pre, post))
-        want = -2.0 * math.fsum(s * e for s, e in zip(sens, err))
-        assert got[8] == pytest.approx(want, rel=1e-12)
+        pre = NeuronState(0.4, -0.3, 1.0, 0.2)
+        post = NeuronState(0.1, 0.5, 0.8, -0.25)
+        q = 1.1 * getattr(QUIET, target)
+        got = coupled_derivative(self.joint(pre.as_tuple(), post.as_tuple(), q), config, 1.0)
+
+        want_pre = as_floats(field_exact(pre, CANON))
+        want_post = as_floats(field_exact(post, replace(QUIET, **{target: q})))
+        want_post[0] += K * (pre.x - post.x)
+        np.testing.assert_allclose(got[:4], want_pre, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[4:8], want_post, rtol=1e-12, atol=1e-15)
+
+        sens = fd_param_sensitivity(pre, CANON, target)
+        err = np.subtract(post.as_tuple(), pre.as_tuple())
+        assert got[8] == pytest.approx(-gain * float(sens @ err), rel=1e-6, abs=1e-9)
 
     def test_rejects_bad_joint(self):
         config = PairConfig(pre=CANON, post=QUIET, K=1.0)
@@ -235,6 +248,22 @@ class TestRunPair:
         with pytest.raises(DivergenceError) as err:
             run_pair(SimSpec(dt=0.01, t_end=10.0), config)
         assert 0.0 < err.value.t <= 10.0
+
+    @pytest.mark.parametrize("target, start, gain", [("a", 0.05, 5.0), ("m", 0.0005, 1.0)])
+    def test_adapted_pole_stops_the_run(self, target, start, gain):
+        # the energy divides by a and m*s: the run stops at the first step
+        # that takes the adapted parameter to zero or across it
+        config = PairConfig(
+            pre=CANON, post=replace(QUIET, **{target: start}), K=5.0,
+            adaptation=AdaptationSpec(target=target, gain=gain, start_time=0.0),
+        )
+        with pytest.raises(DivergenceError) as err:
+            run_pair(SimSpec(dt=0.01, t_end=50.0), config)
+        assert f"adapted parameter {target!r}" in str(err.value)
+        assert f"t={err.value.t:g}" in str(err.value)
+        steps = round(err.value.t / 0.01)
+        before = run_pair(SimSpec(dt=0.01, t_end=(steps - 1) * 0.01), config)
+        assert np.all(before.q > 0.0)
 
     def test_energy_uses_live_adapted_current(self):
         from hrsync.energy import energy_derivative, energy_report
