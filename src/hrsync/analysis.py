@@ -10,6 +10,7 @@ structural adaptation kicks in.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -51,15 +52,9 @@ def _window_samples(window: float, spacing: float) -> int:
     return math.ceil(window / spacing - 1e-9)
 
 
-def windowed_average(
-    times, values, window: float, *, mode: str = "sliding"
-) -> WindowedSeries:
-    """Trailing moving average over a fixed duration.
-
-    ``mode="sliding"`` (default) emits one value per sample once the window
-    is full; ``mode="block"`` averages disjoint consecutive windows instead,
-    emitting one value at the end of each block (for sensitivity checks).
-    """
+def windowed_average(times, values, window: float) -> WindowedSeries:
+    """Trailing moving average over a fixed duration, one value per sample
+    once the window is full."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape:
@@ -77,20 +72,9 @@ def windowed_average(
     k = _window_samples(window, spacing)
     if k > len(values):
         raise ValueError("window longer than the series")
-
-    if mode == "sliding":
-        csum = np.concatenate(([0.0], np.cumsum(values)))
-        avg = (csum[k:] - csum[:-k]) / k
-        return WindowedSeries(times=times[k - 1 :].copy(), values=avg, window=window)
-    if mode == "block":
-        n_blocks = len(values) // k
-        trimmed = values[: n_blocks * k].reshape(n_blocks, k)
-        return WindowedSeries(
-            times=times[k - 1 :: k][:n_blocks].copy(),
-            values=trimmed.mean(axis=1),
-            window=window,
-        )
-    raise ValueError(f"unknown averaging mode {mode!r}")
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    avg = (csum[k:] - csum[:-k]) / k
+    return WindowedSeries(times=times[k - 1 :].copy(), values=avg, window=window)
 
 
 def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
@@ -173,8 +157,9 @@ def sweep_K(
 ) -> list[SweepSummary]:
     """One coupled run per coupling strength, summarized per window.
 
-    Runs are independent and execute on a process pool when ``max_workers``
-    allows (``None`` uses all cores; ``0``/``1`` force serial execution).
+    Runs are independent and execute on a process pool of at most one worker
+    per run when ``max_workers`` allows (``None`` uses all cores; ``0``/``1``
+    force serial execution, and so does a single run).
     Output order matches the input order. A diverging run yields a summary
     with its ``error`` field set; the other runs are unaffected.
     """
@@ -199,10 +184,12 @@ def sweep_K(
         pre_window=pre_window,
         post_window=post_window,
     )
-    if max_workers is not None and max_workers <= 1:
+    # a forked pool starts all its workers up front
+    workers = min((os.cpu_count() or 1) if max_workers is None else max_workers, len(k_values))
+    if workers <= 1:
         return [work(K) for K in k_values]
     try:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, k_values))
     except OSError:
         # process pools can be unavailable in restricted environments

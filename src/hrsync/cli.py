@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--K-list", dest="K_list", metavar="K1,K2,...",
                          help="coupling strengths (default 0,0.5,1,1.5,2)")
     p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the sweep (default: all cores)")
+                         help="worker processes for the sweep (default: all cores; "
+                              "never more than one per K)")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

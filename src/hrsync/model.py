@@ -13,12 +13,15 @@ literal 1 there would break the exact splitting of the field into a
 conservative part (orthogonal to the energy gradient) and a dissipative
 remainder, which is what the :mod:`hrsync.energy` module relies on.
 
-One kernel, :func:`field`, evaluates the equations from the state and the
-flat parameter values in :class:`NeuronParams` field order
+The equations are data: :data:`FIELD` holds them once, as expression
+strings, and every kernel that evaluates them is generated from it (see
+:mod:`hrsync.codegen`). The per-point kernel :func:`field` takes the state and
+the flat parameter values in :class:`NeuronParams` field order
 (``dataclasses.astuple``), so an adapted parameter's live value is substituted
 at its :data:`PARAM_INDEX`. The field is linear in every parameter and
-``d f / d q`` has a single nonzero component; :data:`SENSITIVITY` holds that
-``(row, value)`` pair per adaptable parameter.
+``d f / d q`` has a single nonzero component; :data:`SENSITIVITY_EXPR` holds
+that ``(row, expression)`` pair per adaptable parameter, and
+:data:`SENSITIVITY` its per-point form.
 
 All arithmetic is on dimensionless floats; the physical units quoted in the
 field docs are carried as documentation only.
@@ -29,11 +32,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields, replace
+from functools import cache, partial
+
+from .codegen import compile_kernel
 
 __all__ = [
     "ADAPTABLE_PARAMS",
+    "CONSERVATIVE",
+    "FIELD",
     "PARAM_INDEX",
     "SENSITIVITY",
+    "SENSITIVITY_EXPR",
     "NeuronParams",
     "NeuronState",
     "StateDerivative",
@@ -162,46 +171,71 @@ class StateDerivative:
 PARAM_INDEX: dict[str, int] = {fld.name: i for i, fld in enumerate(fields(NeuronParams))}
 
 
+#: The model equations, the one table every field kernel is generated from:
+#: ``(local, expression)`` assignments over the state ``x, y, z, w`` and the
+#: :class:`NeuronParams` names, in evaluation order. ``dx`` to ``dw`` are the
+#: rows of the field.
+FIELD = (
+    ("x2", "x*x"),
+    ("dx", "a*y + b*x2 - c*x2*x - d*z + xi*I"),
+    ("dy", "e - f*x2 - y - g*w"),
+    ("dz", "m*(-z + s*(x + h))"),
+    ("dw", "n*(-k*w + r*(y + l))"),
+)
+
+#: ``target -> (row, expression)``. The partial derivative of the field with
+#: respect to each adaptable parameter has exactly one nonzero component:
+#: ``expression`` (over the names of :data:`FIELD`) in row ``row``.
+SENSITIVITY_EXPR = {
+    "a": (0, "y"),
+    "b": (0, "x2"),
+    "c": (0, "-x2*x"),
+    "d": (0, "-z"),
+    "xi": (0, "I"),
+    "I": (0, "xi"),
+    "e": (1, "1.0"),
+    "f": (1, "-x2"),
+    "g": (1, "-w"),
+    "m": (2, "-z + s*(x + h)"),
+    "s": (2, "m*(x + h)"),
+    "h": (2, "m*s"),
+    "n": (3, "-k*w + r*(y + l)"),
+    "k": (3, "-n*w"),
+    "r": (3, "n*(y + l)"),
+    "l": (3, "n*r"),
+}
+
+#: The conservative part of the field, everywhere orthogonal to the energy
+#: gradient; the dissipative remainder is part of :data:`hrsync.energy.ENERGY`.
+CONSERVATIVE = ("a*y - d*z", "-f*x*x - g*w", "m*s*x", "n*r*y")
+
+
+@cache
+def point_kernel(name: str, body: tuple, result: str):
+    """``name(x, y, z, w, P)`` evaluating table assignments at one point, with
+    the flat parameter values ``P`` unpacked to their names. Compiled on first
+    use, so importing the package compiles nothing."""
+    return compile_kernel(name, "x, y, z, w, P", ((", ".join(PARAM_INDEX), "P"), *body), result)
+
+
 def field(x: float, y: float, z: float, w: float, P: Sequence[float]) -> tuple:
     """The model equations at (x, y, z, w) for the flat parameter values ``P``.
 
-    This is the single source of the equations. Callers build
-    ``astuple(params)`` once per run; a run that adapts a parameter passes a
-    list holding its live value at the parameter's :data:`PARAM_INDEX`.
+    Generated from :data:`FIELD`. Callers build ``astuple(params)`` once;
+    a run that adapts a parameter passes a list holding its live value at the
+    parameter's :data:`PARAM_INDEX`.
     """
-    a, b, c, d, xi, I, e, f, g, m, s, h, n, k, r, l, p = P
-    x2 = x * x
-    return (
-        a * y + b * x2 - c * x2 * x - d * z + xi * I,
-        e - f * x2 - y - g * w,
-        m * (-z + s * (x + h)),
-        n * (-k * w + r * (y + l)),
-    )
+    return point_kernel("field", FIELD, "(dx, dy, dz, dw)")(x, y, z, w, P)
 
 
-_XI, _I, _M, _S, _H, _N, _K, _R, _L = (PARAM_INDEX[name] for name in "xi I m s h n k r l".split())
+def _sensitivity(target: str, x: float, y: float, z: float, w: float, P: Sequence[float]):
+    return point_kernel(f"d_{target}", FIELD[:1], SENSITIVITY_EXPR[target][1])(x, y, z, w, P)
 
-#: ``target -> (row, value(x, y, z, w, P))``. The partial derivative of the
-#: field with respect to each adaptable parameter has exactly one nonzero
-#: component: ``value`` in row ``row``. The adaptive law and
-#: :func:`param_sensitivity` both read this table.
+
+#: ``target -> (row, value(x, y, z, w, P))``, the per-point form of
+#: :data:`SENSITIVITY_EXPR`, which :func:`param_sensitivity` reads.
 SENSITIVITY = {
-    "a": (0, lambda x, y, z, w, P: y),
-    "b": (0, lambda x, y, z, w, P: x * x),
-    "c": (0, lambda x, y, z, w, P: -x * x * x),
-    "d": (0, lambda x, y, z, w, P: -z),
-    "xi": (0, lambda x, y, z, w, P: P[_I]),
-    "I": (0, lambda x, y, z, w, P: P[_XI]),
-    "e": (1, lambda x, y, z, w, P: 1.0),
-    "f": (1, lambda x, y, z, w, P: -x * x),
-    "g": (1, lambda x, y, z, w, P: -w),
-    "m": (2, lambda x, y, z, w, P: -z + P[_S] * (x + P[_H])),
-    "s": (2, lambda x, y, z, w, P: P[_M] * (x + P[_H])),
-    "h": (2, lambda x, y, z, w, P: P[_M] * P[_S]),
-    "n": (3, lambda x, y, z, w, P: -P[_K] * w + P[_R] * (y + P[_L])),
-    "k": (3, lambda x, y, z, w, P: -P[_N] * w),
-    "r": (3, lambda x, y, z, w, P: P[_N] * (y + P[_L])),
-    "l": (3, lambda x, y, z, w, P: P[_N] * P[_R]),
+    target: (row, partial(_sensitivity, target)) for target, (row, _) in SENSITIVITY_EXPR.items()
 }
 
 #: Parameters the adaptive law may target. ``p`` is excluded: it does not
@@ -229,16 +263,11 @@ def dissipative_field(state: NeuronState, params: NeuronParams) -> StateDerivati
 def conservative_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
     """Conservative remainder ``vector_field - dissipative_field``.
 
-    Closed form (a*y - d*z, -f*x^2 - g*w, m*s*x, n*r*y); it is everywhere
-    orthogonal to the energy gradient.
+    Closed form :data:`CONSERVATIVE`, (a*y - d*z, -f*x^2 - g*w, m*s*x, n*r*y);
+    it is everywhere orthogonal to the energy gradient.
     """
-    x, y, z, w = state.as_tuple()
-    return StateDerivative(
-        params.a * y - params.d * z,
-        -params.f * x * x - params.g * w,
-        params.m * params.s * x,
-        params.n * params.r * y,
-    )
+    kernel = point_kernel("conservative", (), "(" + ", ".join(CONSERVATIVE) + ")")
+    return StateDerivative(*kernel(*state.as_tuple(), astuple(params)))
 
 
 def param_sensitivity(

@@ -93,13 +93,6 @@ class TestWindowedAverage:
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(full.times[-overlap:], chopped.times)
 
-    def test_block_mode(self):
-        t = np.arange(12) * 1.0
-        v = np.arange(12, dtype=float)
-        out = windowed_average(t, v, 4.0, mode="block")
-        np.testing.assert_allclose(out.values, [1.5, 5.5, 9.5])
-        np.testing.assert_allclose(out.times, [3.0, 7.0, 11.0])
-
     def test_usage_errors(self):
         t = np.arange(10) * 1.0
         v = np.ones(10)
@@ -109,8 +102,6 @@ class TestWindowedAverage:
             windowed_average(t, v, 100.0)  # longer than the series
         with pytest.raises(ValueError):
             windowed_average(np.array([0.0, 1.0, 3.0]), np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            windowed_average(t, v, 2.0, mode="median")
 
 
 class TestSyncRms:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hrsync import analysis
 from hrsync.analysis import sweep_K
 from hrsync.cli import main
 from hrsync.model import NeuronParams
@@ -183,6 +184,37 @@ class TestSweep:
     def test_empty_k_list_exits_2(self, tmp_path):
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("jobs, k_list, pool_size", [
+        ("64", "0,1", 2),
+        ("5000", "0", None),
+        (None, "0,1,2,3,4,5,6,7,8", 4),
+        (None, "0,1", 2),
+    ])
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
+                                                 jobs, k_list, pool_size):
+        # a forked pool starts every worker up front; count what is asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
+                "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv + (["--jobs", jobs] if jobs else [])) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_windows_follow_the_run(self, tmp_path):
         # pre: second half of [0, adapt_at]; post: second half of [adapt_at, t_end]

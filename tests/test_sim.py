@@ -1,15 +1,26 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from hrsync.model import ADAPTABLE_PARAMS, NeuronParams, NeuronState, vector_field
+from hrsync.energy import energy_terms
+from hrsync.model import (
+    ADAPTABLE_PARAMS,
+    PARAM_INDEX,
+    SENSITIVITY,
+    NeuronParams,
+    NeuronState,
+    field,
+    vector_field,
+)
 from hrsync.sim import (
     AdaptationSpec,
     DivergenceError,
     PairConfig,
     SimSpec,
+    _lone_kernels,
+    _pair_kernels,
     coupled_derivative,
     rk4_step,
     run_isolated,
@@ -319,3 +330,80 @@ class TestRunIsolated:
         with pytest.raises(DivergenceError) as err:
             run_isolated(spec, runaway)
         assert 0.9 < err.value.t < 1.05
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestGeneratedKernels:
+    """The straight-line steps and sample rows generated from the expression
+    tables equal, bit for bit, ``rk4_step`` over the per-point kernels."""
+
+    DT = 0.01
+
+    @staticmethod
+    def reference_pair_rhs(config, active):
+        P_pre = astuple(config.pre)
+        target = config.adaptation.target
+        i = PARAM_INDEX[target]
+        P_post = list(astuple(config.post))
+        row, sens = SENSITIVITY[target]
+        neg_gain = -config.adaptation.gain
+
+        def rhs(joint, t):
+            x1, y1, z1, w1, x2, y2, z2, w2, q = joint
+            P_post[i] = q
+            dx2, dy2, dz2, dw2 = field(x2, y2, z2, w2, P_post)
+            dq = 0.0
+            if active:
+                dq = neg_gain * sens(x1, y1, z1, w1, P_pre) * (joint[4 + row] - joint[row])
+            return (*field(x1, y1, z1, w1, P_pre), dx2 + config.K * (x1 - x2), dy2, dz2, dw2, dq)
+
+        return rhs
+
+    @pytest.mark.parametrize("gain", [1.0, 2.7])
+    @pytest.mark.parametrize("active", [False, True], ids=["idle", "active"])
+    @pytest.mark.parametrize("target", ADAPTABLE_PARAMS)
+    def test_pair_step_and_row(self, target, active, gain):
+        pre = replace(CANON, xi=1.3)
+        post = replace(QUIET, **{target: 1.1 * getattr(QUIET, target)})
+        config = PairConfig(pre=pre, post=post, K=2.0,
+                            adaptation=AdaptationSpec(target=target, gain=gain))
+        idle, adapting, row = _pair_kernels(config, self.DT)
+        step = adapting if active else idle
+        rhs = self.reference_pair_rhs(config, active)
+        P_pre, P_post = astuple(pre), list(astuple(post))
+        state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
+        ref = state
+        for i in range(200):
+            t = i * self.DT
+            P_post[PARAM_INDEX[target]] = state[8]
+            want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
+                    *energy_terms(*state[4:8], P_post)[:2])
+            assert bits(row(t, state)) == bits(want)
+            state, ref = step(state), rk4_step(rhs, ref, t, self.DT)
+            assert bits(state) == bits(ref)
+        assert (state[8] != getattr(post, target)) == active
+
+    def test_lone_step_and_row(self):
+        params = replace(CANON, xi=1.3)
+        step, row = _lone_kernels(params, self.DT)
+        P = astuple(params)
+        state = ref = (0.1, 0.2, 0.3, 0.1)
+        for i in range(200):
+            t = i * self.DT
+            assert bits(row(t, state)) == bits((t, *state, *energy_terms(*state, P)[:2]))
+            state = step(state)
+            ref = rk4_step(lambda s, t: field(*s, P), ref, t, self.DT)
+            assert bits(state) == bits(ref)
+
+    def test_generated_source_holds_no_config_value(self):
+        # run constants are bound as default arguments, never written as text
+        pre = replace(CANON, d=0.987654321)
+        config = PairConfig(pre=pre, post=QUIET, K=2.345678,
+                            adaptation=AdaptationSpec(target="f", gain=2.7))
+        kernels = (*_pair_kernels(config, 0.0123), *_lone_kernels(pre, 0.0123))
+        for kernel in kernels:
+            for value in (0.987654321, 2.345678, 2.7, -2.7, 0.0123, QUIET.f, QUIET.I):
+                assert repr(value) not in kernel.source
