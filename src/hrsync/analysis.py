@@ -153,13 +153,11 @@ def sweep_K(
     *,
     pre_window: tuple[float, float] = (50.0, 100.0),
     post_window: tuple[float, float] = (150.0, 200.0),
-    max_workers: int | None = None,
 ) -> list[SweepSummary]:
     """One coupled run per coupling strength, summarized per window.
 
-    Runs are independent and execute on a process pool of at most one worker
-    per run when ``max_workers`` allows (``None`` uses all cores; ``0``/``1``
-    force serial execution, and so does a single run).
+    Runs are independent and execute on a process pool of one worker per
+    core, and at most one per run; a single run or core runs in process.
     Output order matches the input order. A diverging run yields a summary
     with its ``error`` field set; the other runs are unaffected.
     """
@@ -185,7 +183,7 @@ def sweep_K(
         post_window=post_window,
     )
     # a forked pool starts all its workers up front
-    workers = min((os.cpu_count() or 1) if max_workers is None else max_workers, len(k_values))
+    workers = min(os.cpu_count() or 1, len(k_values))
     if workers <= 1:
         return [work(K) for K in k_values]
     try:

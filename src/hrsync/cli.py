@@ -9,9 +9,14 @@ Three subcommands map onto the reference experiments:
 * ``sweep``    - the pair experiment repeated across coupling strengths,
   summarized per run before and after adaptation.
 
+Each setting is declared once, as a field of :class:`RunConfig`: the field
+name is its config key and the field type picks the parser of its text.
 Options come from an optional flat ``key = value`` config file plus command
-line flags; flags win. Unknown config keys are rejected. All data output is
-CSV (UTF-8, LF line endings, shortest round-trip float formatting) and is
+line flags; flags win. A flag is one ``(flag, key, help)`` row of a table and
+hands its text to the same :meth:`RunConfig.apply_key` as a file line, so
+both forms parse and fail alike; its help shows the default of
+``RunConfig()``. Unknown config keys are rejected. All data output is CSV
+(UTF-8, LF line endings, shortest round-trip float formatting) and is
 byte-identical across repeated invocations of the same configuration on a
 given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
 ``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
@@ -28,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,7 +60,8 @@ CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(ValueError):
-    """Bad config file: unreadable, unparsable, or unknown/invalid keys."""
+    """Bad setting: unreadable or unparsable config file, unknown key, or a
+    value of a key or flag that its parser rejects."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -83,6 +90,10 @@ def _parse_state(text: str) -> NeuronState:
 _PARAM_FIELDS = tuple(f.name for f in dc_fields(NeuronParams))
 
 
+def _neuron_params(current: float, overrides: dict[str, float]) -> NeuronParams:
+    return replace(NeuronParams.canonical(I=current), **overrides)
+
+
 @dataclass
 class RunConfig:
     """Resolved settings for one invocation (defaults < config file < flags)."""
@@ -101,70 +112,33 @@ class RunConfig:
     adapt_at: float = 100.0
     gain: float = 1.0
     adapt_target: str = "I"
-    out: str | None = None
+    out: str = ""
     plot: bool = False
     pre_overrides: dict[str, float] = field(default_factory=dict)
     post_overrides: dict[str, float] = field(default_factory=dict)
 
     def apply_key(self, key: str, raw: str) -> None:
-        simple = {
-            "dt": ("dt", float),
-            "t_end": ("t_end", float),
-            "record_every": ("record_every", int),
-            "transient": ("transient", float),
-            "initial_pre": ("initial_pre", _parse_state),
-            "initial_post": ("initial_post", _parse_state),
-            "i1": ("i1", float),
-            "i2": ("i2", float),
-            "k": ("k", float),
-            "k_list": ("k_list", _parse_float_list),
-            "adapt": ("adapt", _parse_bool),
-            "adapt_at": ("adapt_at", float),
-            "gain": ("gain", float),
-            "adapt_target": ("adapt_target", str.strip),
-            "out": ("out", str.strip),
-            "plot": ("plot", _parse_bool),
-        }
-        if key in simple:
-            attr, convert = simple[key]
-            try:
-                setattr(self, attr, convert(raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-            return
-        for prefix, overrides in (("pre.", self.pre_overrides), ("post.", self.post_overrides)):
-            if key.startswith(prefix):
-                name = key[len(prefix):]
-                if name not in _PARAM_FIELDS:
-                    raise ConfigError(f"unknown neuron parameter in key {key!r}")
-                try:
-                    overrides[name] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-                return
-        raise ConfigError(f"unknown config key {key!r}")
-
-    def pre_params(self) -> NeuronParams:
-        params = NeuronParams.canonical(I=self.i1)
-        if self.pre_overrides:
-            params = _override(params, self.pre_overrides)
-        return params
-
-    def post_params(self) -> NeuronParams:
-        params = NeuronParams.canonical(I=self.i2)
-        if self.post_overrides:
-            params = _override(params, self.post_overrides)
-        return params
+        """Set one setting from its text, as a config line or a flag gives it."""
+        side, dot, name = key.partition(".")
+        if dot and side in ("pre", "post"):
+            if name not in _PARAM_FIELDS:
+                raise ConfigError(f"unknown neuron parameter in key {key!r}")
+            convert = float
+        elif key in _KEY_PARSERS:
+            convert = _KEY_PARSERS[key]
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            value = convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        if dot:
+            getattr(self, f"{side}_overrides")[name] = value
+        else:
+            setattr(self, key, value)
 
     def sim_spec(self) -> SimSpec:
-        return SimSpec(
-            dt=self.dt,
-            t_end=self.t_end,
-            record_every=self.record_every,
-            initial_pre=self.initial_pre,
-            initial_post=self.initial_post,
-            transient=self.transient,
-        )
+        return SimSpec(**{f.name: getattr(self, f.name) for f in dc_fields(SimSpec)})
 
     def pair_config(self) -> PairConfig:
         adaptation = None
@@ -173,15 +147,28 @@ class RunConfig:
                 target=self.adapt_target, gain=self.gain, start_time=self.adapt_at
             )
         return PairConfig(
-            pre=self.pre_params(),
-            post=self.post_params(),
+            pre=_neuron_params(self.i1, self.pre_overrides),
+            post=_neuron_params(self.i2, self.post_overrides),
             K=self.k,
             adaptation=adaptation,
         )
 
 
-def _override(params: NeuronParams, values: dict[str, float]) -> NeuronParams:
-    return replace(params, **values)
+#: config key -> parser of its text, from the field's type; the per-neuron
+#: override dicts are set through ``pre.<name>``/``post.<name>`` keys instead
+_TYPE_PARSERS = {
+    float: float,
+    int: int,
+    bool: _parse_bool,
+    str: str.strip,
+    NeuronState: _parse_state,
+    tuple[float, ...]: _parse_float_list,
+}
+_KEY_PARSERS = {
+    name: _TYPE_PARSERS[hint]
+    for name, hint in get_type_hints(RunConfig).items()
+    if hint in _TYPE_PARSERS
+}
 
 
 def read_config_file(path: str) -> list[tuple[str, str]]:
@@ -204,34 +191,17 @@ def read_config_file(path: str) -> list[tuple[str, str]]:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in read_config_file(args.config):
             cfg.apply_key(key, raw)
     # flags win over the file; --i1/--i2 also beat file-level pre.I/post.I
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "t_end", None) is not None:
-        cfg.t_end = args.t_end
-    if getattr(args, "i1", None) is not None:
-        cfg.i1 = args.i1
-        cfg.pre_overrides.pop("I", None)
-    if getattr(args, "i2", None) is not None:
-        cfg.i2 = args.i2
-        cfg.post_overrides.pop("I", None)
-    if getattr(args, "K", None) is not None:
-        cfg.k = args.K
-    if getattr(args, "K_list", None) is not None:
-        cfg.k_list = _parse_float_list(args.K_list)
-    if getattr(args, "adapt_at", None) is not None:
-        cfg.adapt_at = args.adapt_at
-    if getattr(args, "gain", None) is not None:
-        cfg.gain = args.gain
-    if getattr(args, "no_adapt", False):
-        cfg.adapt = False
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "plot", False):
-        cfg.plot = True
+    for key in _KEY_PARSERS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            cfg.apply_key(key, raw)
+    for key, overrides in (("i1", cfg.pre_overrides), ("i2", cfg.post_overrides)):
+        if getattr(args, key, None) is not None:
+            overrides.pop("I", None)
     return cfg
 
 
@@ -265,10 +235,8 @@ def _aligned_average(t, values, window: float) -> list[str]:
     return [""] * offset + [_fmt(v) for v in series.values]
 
 
-def cmd_isolated(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    params = cfg.pre_params()
-    run = run_isolated(cfg.sim_spec(), params)
+def cmd_isolated(cfg: RunConfig) -> list[Path]:
+    run = run_isolated(cfg.sim_spec(), _neuron_params(cfg.i1, cfg.pre_overrides))
     out = Path(cfg.out or "isolated.csv")
 
     _write_csv(out, "t,x,y,z,w,H,Hdot", _float_lines(run.t, run.pre, run.H_pre, run.Hdot_pre))
@@ -294,13 +262,10 @@ def cmd_isolated(args: argparse.Namespace) -> int:
             _write_csv(proj_path, ",".join(columns), _float_lines(state[:, picks]))
             written.append(proj_path)
 
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return written
 
 
-def cmd_pair(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_pair(cfg: RunConfig) -> list[Path]:
     run = run_pair(cfg.sim_spec(), cfg.pair_config())
     out = Path(cfg.out or "pair.csv")
 
@@ -333,30 +298,24 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
     if cfg.plot:
         chart = out.with_suffix(".svg")
-        filled_H = [(tt, float(v)) for tt, v in zip(t, avg_H2) if v]
-        filled_Hd = [(tt, float(v)) for tt, v in zip(t, avg_Hdot2) if v]
-        write_chart(
-            chart,
-            [
-                Panel("receiving-neuron energy, 10-unit average", "t", "H2")
-                .add("avgH2_w10", [p[0] for p in filled_H], [p[1] for p in filled_H]),
-                Panel("receiving-neuron energy derivative, 5-unit average", "t", "Hdot2")
-                .add("avgHdot2_w5", [p[0] for p in filled_Hd], [p[1] for p in filled_Hd]),
-                Panel("adapted external current", "t", "I2")
-                .add("I2", t, run.q),
-            ],
-        )
+        panels = []
+        for title, ylabel, label, cells in (
+            ("receiving-neuron energy, 10-unit average", "H2", "avgH2_w10", avg_H2),
+            ("receiving-neuron energy derivative, 5-unit average", "Hdot2", "avgHdot2_w5", avg_Hdot2),
+        ):
+            # an average whose window never filled has no panel
+            filled = [(tt, float(v)) for tt, v in zip(t, cells) if v]
+            if filled:
+                panels.append(Panel(title, "t", ylabel)
+                              .add(label, [p[0] for p in filled], [p[1] for p in filled]))
+        panels.append(Panel("adapted external current", "t", "I2").add("I2", t, run.q))
+        write_chart(chart, panels)
         written.append(chart)
 
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return written
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if not cfg.k_list:
-        raise ValueError("sweep needs at least one coupling strength")
+def cmd_sweep(cfg: RunConfig) -> list[Path]:
     # windows: the second half of the run before the switch, and of the rest
     summaries = sweep_K(
         cfg.k_list,
@@ -364,7 +323,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.pair_config(),
         pre_window=(cfg.adapt_at / 2, cfg.adapt_at),
         post_window=((cfg.t_end + cfg.adapt_at) / 2, cfg.t_end),
-        max_workers=getattr(args, "jobs", None),
     )
     out = Path(cfg.out or "sweep.csv")
 
@@ -404,27 +362,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             write_chart(chart, [panel])
             written.append(chart)
 
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return written
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--plot", action="store_true", help="also write SVG charts")
-    parser.add_argument("--dt", type=float, help="integration step (default 0.01)")
-    parser.add_argument("--t-end", dest="t_end", type=float, help="final time (default 200)")
-    parser.add_argument("--i1", type=float, help="sending-neuron external current (default 3.024)")
-
-
-def _add_pair_like(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--i2", type=float, help="receiving-neuron external current (default 0.85)")
-    parser.add_argument("--adapt-at", dest="adapt_at", type=float,
-                        help="adaptation start time (default 100)")
-    parser.add_argument("--no-adapt", dest="no_adapt", action="store_true",
-                        help="disable the adaptive law")
-    parser.add_argument("--gain", type=float, help="adaptation gain (default 1)")
+#: ``(flag, config key, help)`` per group of subcommands. A flag stores its
+#: text under its key; on a boolean key it is a switch that stores "false"
+#: when spelled ``--no-...`` and "true" otherwise.
+_COMMON_FLAGS = (
+    ("--out", "out", "output CSV path"),
+    ("--plot", "plot", "also write SVG charts"),
+    ("--dt", "dt", "integration step"),
+    ("--t-end", "t_end", "final time"),
+    ("--i1", "i1", "sending-neuron external current"),
+)
+_PAIR_LIKE_FLAGS = _COMMON_FLAGS + (
+    ("--i2", "i2", "receiving-neuron external current"),
+    ("--adapt-at", "adapt_at", "adaptation start time"),
+    ("--no-adapt", "adapt", "disable the adaptive law"),
+    ("--gain", "gain", "adaptation gain"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,26 +389,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy accounting for coupled Hindmarsh-Rose neurons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_iso = sub.add_parser("isolated", help="one free neuron: state, energy, energy derivative")
-    _add_common(p_iso)
-    p_iso.set_defaults(func=cmd_isolated)
-
-    p_pair = sub.add_parser("pair", help="coupled pair with adaptive current tuning")
-    _add_common(p_pair)
-    _add_pair_like(p_pair)
-    p_pair.add_argument("--K", type=float, help="coupling strength (default 5)")
-    p_pair.set_defaults(func=cmd_pair)
-
-    p_sweep = sub.add_parser("sweep", help="pair experiment across coupling strengths")
-    _add_common(p_sweep)
-    _add_pair_like(p_sweep)
-    p_sweep.add_argument("--K-list", dest="K_list", metavar="K1,K2,...",
-                         help="coupling strengths (default 0,0.5,1,1.5,2)")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the sweep (default: all cores; "
-                              "never more than one per K)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    defaults = RunConfig()
+    for name, func, summary, flags in (
+        ("isolated", cmd_isolated, "one free neuron: state, energy, energy derivative",
+         _COMMON_FLAGS),
+        ("pair", cmd_pair, "coupled pair with adaptive current tuning",
+         _PAIR_LIKE_FLAGS + (("--K", "k", "coupling strength"),)),
+        ("sweep", cmd_sweep, "pair experiment across coupling strengths",
+         _PAIR_LIKE_FLAGS + (("--K-list", "k_list", "coupling strengths"),)),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", metavar="PATH", help="flat key=value config file")
+        for flag, key, text in flags:
+            default = getattr(defaults, key)
+            if isinstance(default, bool):
+                const = "false" if flag.startswith("--no-") else "true"
+                command.add_argument(flag, dest=key, action="store_const", const=const, help=text)
+                continue
+            if isinstance(default, tuple):
+                text += f" (default {','.join(f'{v:g}' for v in default)})"
+            elif isinstance(default, float):
+                text += f" (default {default:g})"
+            command.add_argument(flag, dest=key, help=text)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -460,7 +419,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        for path in args.func(resolve_config(args)):
+            print(f"wrote {path}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

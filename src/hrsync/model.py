@@ -141,11 +141,6 @@ class NeuronState:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.z, self.w)
 
-    @classmethod
-    def from_sequence(cls, values) -> "NeuronState":
-        x, y, z, w = values
-        return cls(float(x), float(y), float(z), float(w))
-
 
 @dataclass(frozen=True)
 class StateDerivative:

@@ -144,6 +144,8 @@ class SimSpec:
             raise ValueError("need t_end > transient >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("the step count t_end/dt must be finite")
         steps = round(self.t_end / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")

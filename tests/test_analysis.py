@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hrsync import analysis
 from hrsync.analysis import (
     SweepSummary,
     sweep_K,
@@ -134,7 +135,7 @@ class TestSyncRms:
 class TestSweep:
     def test_single_k_matches_direct_run(self):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=5)
-        (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG, max_workers=1)
+        (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG)
         run = run_pair(spec, REFERENCE_CONFIG)
         t = run.t
         pre = (t >= 50.0) & (t <= 100.0)
@@ -148,22 +149,24 @@ class TestSweep:
             sync_rms(run, 50.0, 100.0), rel=1e-12
         )
 
-    def test_parallel_and_serial_agree(self):
+    def test_parallel_and_serial_agree(self, monkeypatch):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
         ks = [0.0, 5.0]
-        serial = sweep_K(ks, spec, REFERENCE_CONFIG, max_workers=1)
-        parallel = sweep_K(ks, spec, REFERENCE_CONFIG, max_workers=2)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
+        serial = sweep_K(ks, spec, REFERENCE_CONFIG)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        parallel = sweep_K(ks, spec, REFERENCE_CONFIG)
         assert serial == parallel
 
     def test_order_and_duplicates(self):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
-        out = sweep_K([2.0, 0.5, 2.0], spec, REFERENCE_CONFIG, max_workers=2)
+        out = sweep_K([2.0, 0.5, 2.0], spec, REFERENCE_CONFIG)
         assert [s.K for s in out] == [2.0, 0.5, 2.0]
         assert out[0] == out[2]
 
     def test_divergent_k_is_contained(self):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
-        out = sweep_K([5.0, 1e6], spec, REFERENCE_CONFIG, max_workers=2)
+        out = sweep_K([5.0, 1e6], spec, REFERENCE_CONFIG)
         assert out[0].error is None
         assert out[1].error is not None and "divergence" in out[1].error
         assert math.isnan(out[1].pre_adapt_avg_H)
@@ -180,9 +183,9 @@ class TestSweep:
 
     def test_summaries_stable_under_sampling_refinement(self):
         coarse = sweep_K([5.0], SimSpec(dt=0.01, t_end=200.0, record_every=10),
-                         REFERENCE_CONFIG, max_workers=1)[0]
+                         REFERENCE_CONFIG)[0]
         fine = sweep_K([5.0], SimSpec(dt=0.01, t_end=200.0, record_every=5),
-                       REFERENCE_CONFIG, max_workers=1)[0]
+                       REFERENCE_CONFIG)[0]
         for name in ("pre_adapt_avg_H", "pre_adapt_avg_Hdot", "post_adapt_avg_H"):
             c, f = getattr(coarse, name), getattr(fine, name)
             assert abs(c - f) < 0.01 * max(1.0, abs(f))

@@ -1,12 +1,16 @@
+import argparse
+import dataclasses
 import hashlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hrsync import analysis
 from hrsync.analysis import sweep_K
-from hrsync.cli import main
+from hrsync.cli import RunConfig, build_parser, main, resolve_config
 from hrsync.model import NeuronParams
 from hrsync.sim import AdaptationSpec, PairConfig, SimSpec
 
@@ -147,12 +151,21 @@ class TestPair:
         assert main(["pair", "--t-end", "30", "--out", str(out), "--plot"]) == 0
         assert (tmp_path / "pair.svg").exists()
 
+    @pytest.mark.parametrize("t_end", ["8", "4"])
+    def test_plot_of_run_shorter_than_the_average_windows(self, tmp_path, t_end):
+        # 8 fills only the 5-unit window, 4 neither; the I2 panel always has data
+        out = tmp_path / "pair.csv"
+        assert main(["pair", "--t-end", t_end, "--out", str(out), "--plot"]) == 0
+        body = (tmp_path / "pair.svg").read_text(encoding="utf-8")
+        assert "adapted external current" in body
+        assert ("5-unit average" in body) == (t_end == "8")
+        assert "10-unit average" not in body
+
 
 class TestSweep:
     def test_csv_contract_and_divergence_marker(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--K-list", "5,1e6", "--out", str(out),
-                     "--jobs", "2"]) == 0
+        assert main(["sweep", "--K-list", "5,1e6", "--out", str(out)]) == 0
         lines = read_lines(out)
         assert lines[0] == SWEEP_HEADER
         good = lines[1].split(",")
@@ -165,15 +178,13 @@ class TestSweep:
 
     def test_duplicate_k_rows_identical(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--K-list", "1,1", "--out", str(out),
-                     "--jobs", "1"]) == 0
+        assert main(["sweep", "--K-list", "1,1", "--out", str(out)]) == 0
         lines = read_lines(out)
         assert lines[1] == lines[2]
 
     def test_plot(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--K-list", "0.5,2", "--out", str(out),
-                     "--jobs", "2", "--plot"]) == 0
+        assert main(["sweep", "--K-list", "0.5,2", "--out", str(out), "--plot"]) == 0
         assert (tmp_path / "sweep.svg").exists()
 
     def test_too_short_run_exits_2(self, tmp_path):
@@ -185,14 +196,13 @@ class TestSweep:
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("jobs, k_list, pool_size", [
-        ("64", "0,1", 2),
-        ("5000", "0", None),
-        (None, "0,1,2,3,4,5,6,7,8", 4),
-        (None, "0,1", 2),
+    @pytest.mark.parametrize("k_list, pool_size", [
+        ("0", None),
+        ("0,1,2,3,4,5,6,7,8", 4),
+        ("0,1", 2),
     ])
     def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
-                                                 jobs, k_list, pool_size):
+                                                 k_list, pool_size):
         # a forked pool starts every worker up front; count what is asked for
         sizes = []
 
@@ -213,19 +223,19 @@ class TestSweep:
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
                 "--out", str(tmp_path / "sweep.csv")]
-        assert main(argv + (["--jobs", jobs] if jobs else [])) == 0
+        assert main(argv) == 0
         assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_windows_follow_the_run(self, tmp_path):
         # pre: second half of [0, adapt_at]; post: second half of [adapt_at, t_end]
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--t-end", "20", "--adapt-at", "10", "--K-list", "1",
-                     "--jobs", "1", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         config = PairConfig(pre=NeuronParams.canonical(I=3.024),
                             post=NeuronParams.canonical(I=0.85),
                             adaptation=AdaptationSpec(start_time=10.0))
         (s,) = sweep_K([1.0], SimSpec(dt=0.01, t_end=20.0), config,
-                       pre_window=(5.0, 10.0), post_window=(15.0, 20.0), max_workers=1)
+                       pre_window=(5.0, 10.0), post_window=(15.0, 20.0))
         want = (s.K, s.pre_adapt_avg_H, s.pre_adapt_avg_Hdot, s.post_adapt_avg_H,
                 s.post_adapt_avg_Hdot, s.pre_adapt_sync_rms, s.post_adapt_sync_rms)
         assert read_lines(out)[1] == ",".join(repr(v) for v in want)
@@ -294,6 +304,81 @@ class TestConfigFile:
         assert main(["pair", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def subcommands():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def flags_of(command):
+    """Long flags of one subcommand that set a config key."""
+    return [flag for action in command._actions for flag in action.option_strings
+            if flag.startswith("--") and flag not in ("--help", "--config")]
+
+
+def resolve(tmp_path, argv, config_lines=()):
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(line + "\n" for line in config_lines), encoding="utf-8")
+    return resolve_config(build_parser().parse_args([*argv, "--config", str(config)]))
+
+
+#: (command, flag argv, config line) for every flag that sets a config key
+FLAG_AND_FILE_FORMS = [
+    ("pair", ["--out", "run.csv"], "out = run.csv"),
+    ("pair", ["--plot"], "plot = true"),
+    ("pair", ["--dt", "0.02"], "dt = 0.02"),
+    ("pair", ["--t-end", "30"], "t_end = 30"),
+    ("pair", ["--i1", "2.5"], "i1 = 2.5"),
+    ("pair", ["--i2", "1.5"], "i2 = 1.5"),
+    ("pair", ["--adapt-at", "20"], "adapt_at = 20"),
+    ("pair", ["--no-adapt"], "adapt = false"),
+    ("pair", ["--gain", "2.7"], "gain = 2.7"),
+    ("pair", ["--K", "3"], "k = 3"),
+    ("sweep", ["--K-list", "1,2.5"], "k_list = 1,2.5"),
+]
+
+
+class TestResolution:
+    def test_current_flag_beats_file_override_beats_file_current(self, tmp_path):
+        file_lines = ["i1 = 2.0", "pre.I = 1.0", "i2 = 0.5", "post.I = 0.7"]
+        by_file = resolve(tmp_path, ["pair"], file_lines).pair_config()
+        assert (by_file.pre.I, by_file.post.I) == (1.0, 0.7)
+        by_flag = resolve(tmp_path, ["pair", "--i1", "2.5", "--i2", "0.9"], file_lines)
+        assert (by_flag.pair_config().pre.I, by_flag.pair_config().post.I) == (2.5, 0.9)
+
+    def test_file_switches_survive_absent_flags(self, tmp_path):
+        cfg = resolve(tmp_path, ["pair"], ["plot = true", "adapt = false"])
+        assert cfg.plot is True and cfg.adapt is False
+        assert cfg.pair_config().adaptation is None
+
+    def test_coupling_flags(self, tmp_path):
+        assert resolve(tmp_path, ["pair", "--K", "3"]).k == 3.0
+        assert resolve(tmp_path, ["sweep", "--K-list", "1,2.5"]).k_list == (1.0, 2.5)
+
+    def test_every_flag_has_a_case(self):
+        declared = {flag for command in subcommands().values() for flag in flags_of(command)}
+        assert declared == {case[1][0] for case in FLAG_AND_FILE_FORMS}
+
+    @pytest.mark.parametrize("command, flag_argv, line", FLAG_AND_FILE_FORMS,
+                             ids=[case[1][0] for case in FLAG_AND_FILE_FORMS])
+    def test_flag_and_file_forms_agree(self, tmp_path, command, flag_argv, line):
+        by_flag = resolve(tmp_path, [command, *flag_argv])
+        by_file = resolve(tmp_path, [command], [line])
+        assert by_flag == by_file
+        assert by_flag != resolve(tmp_path, [command])
+
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrsync", "pair", "--dt", "fast",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "dt" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("name", list(PINNED_SHA256))
 def test_output_bytes_are_pinned(tmp_path, name):
     argv, config_lines, digest = PINNED_SHA256[name]
@@ -312,6 +397,9 @@ def test_output_bytes_are_pinned(tmp_path, name):
         ["pair", "--K", "inf"],
         ["sweep", "--K-list", "0,nan"],
         ["pair", "--gain", "inf"],
+        # finite settings whose step count t_end/dt overflows a float
+        ["pair", "--t-end", "1e308"],
+        ["pair", "--dt", "1e-320", "--t-end", "1"],
     ],
     ids=" ".join,
 )
@@ -370,3 +458,24 @@ class TestInvocation:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestReadme:
+    """README's options section lists every config key and every flag."""
+
+    @pytest.fixture(scope="class")
+    def section(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return readme.split("### Options and config files", 1)[1].split("\n### ", 1)[0]
+
+    def test_every_key_is_in_the_key_table(self, section):
+        key_column = " ".join(re.findall(r"^\|([^|]*)\|", section, re.M))
+        keys = [f.name for f in dataclasses.fields(RunConfig) if not f.name.endswith("_overrides")]
+        missing = [key for key in keys + ["pre.<name>", "post.<name>"] if f"`{key}`" not in key_column]
+        assert missing == []
+
+    def test_every_flag_is_in_the_flag_list(self, section):
+        flag_list = section.strip().split("\n\n", 1)[0]
+        listed = set(re.findall(r"`(--[\w-]+)", flag_list))
+        declared = {flag for command in subcommands().values() for flag in flags_of(command)}
+        assert declared | {"--config"} <= listed
