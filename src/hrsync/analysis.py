@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
+from .sim import Collector, DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
 
 __all__ = [
     "SweepSummary",
+    "TrailingMean",
     "WindowedSeries",
     "sweep_K",
     "sync_rms",
@@ -47,9 +48,37 @@ class WindowedSeries:
         return len(self.values)
 
 
-def _window_samples(window: float, spacing: float) -> int:
-    # number of grid points in (t - window, t]; tolerant of float ratio noise
-    return math.ceil(window / spacing - 1e-9)
+class TrailingMean:
+    """Trailing mean over ``window`` of a series sampled ``spacing`` apart,
+    fed in blocks.
+
+    A window holds the ``k`` grid points in ``(t - window, t]``. The series
+    must have at least ``k`` of its ``n`` samples, else ``ValueError``.
+    Every block continues one sequential running sum, so the means are
+    bit-identical however the series is split, including into one block.
+    """
+
+    def __init__(self, window: float, spacing: float, n: int):
+        if window < spacing:
+            raise ValueError("window must be at least the sample spacing")
+        # tolerant of float ratio noise
+        self.k = math.ceil(window / spacing - 1e-9)
+        if self.k > n:
+            raise ValueError("window longer than the series")
+        self._sums = None  # the last k running sums, the newest last
+
+    def push(self, values: np.ndarray) -> np.ndarray:
+        """Means of the windows that end at each of ``values``, in order,
+        from the first full window on."""
+        k, sums = self.k, self._sums
+        if sums is None:
+            sums = np.concatenate(([0.0], np.cumsum(values)))
+        else:
+            # prepend the carried total: adding it after the cumsum would
+            # round differently from one sequential sum
+            sums = np.concatenate((sums[:-1], np.cumsum(np.concatenate((sums[-1:], values)))))
+        self._sums = sums[-k:]
+        return (sums[k:] - sums[:-k]) / k
 
 
 def windowed_average(times, values, window: float) -> WindowedSeries:
@@ -67,14 +96,9 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
     steps = np.diff(times)
     if np.any(np.abs(steps - spacing) > 1e-6 * max(spacing, 1.0)):
         raise ValueError("series must be uniformly sampled")
-    if window < spacing:
-        raise ValueError("window must be at least the sample spacing")
-    k = _window_samples(window, spacing)
-    if k > len(values):
-        raise ValueError("window longer than the series")
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    avg = (csum[k:] - csum[:-k]) / k
-    return WindowedSeries(times=times[k - 1 :].copy(), values=avg, window=window)
+    mean = TrailingMean(window, spacing, len(values))
+    avg = mean.push(values)
+    return WindowedSeries(times=times[mean.k - 1 :].copy(), values=avg, window=window)
 
 
 def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
@@ -92,8 +116,11 @@ def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     # Python's ``**`` calls libm pow, which can differ from numpy's square in
     # the last bit, and the summary is written to CSV: keep float arithmetic.
     e = (trajectory.post[mask] - trajectory.pre[mask]).tolist()
-    sq = [e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2 for e0, e1, e2, e3 in e]
-    return math.sqrt(sum(sq) / len(sq))
+    total = 0.0
+    # left to right: builtin sum() compensates its rounding from Python 3.12 on
+    for e0, e1, e2, e3 in e:
+        total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
+    return math.sqrt(total / len(e))
 
 
 @dataclass(frozen=True)
@@ -115,6 +142,21 @@ class SweepSummary:
     error: str | None = None
 
 
+class _WindowRows(Collector):
+    """Sink that keeps only the rows whose time lies in one of ``windows``."""
+
+    def __init__(self, *windows: tuple[float, float]):
+        super().__init__()
+        self.windows = windows
+
+    def put(self, block: np.ndarray) -> None:
+        t = block[:, 0]
+        keep = np.zeros(len(t), dtype=bool)
+        for lo, hi in self.windows:
+            keep |= (t >= lo) & (t <= hi)
+        super().put(block[keep])
+
+
 def _window_mean(t: np.ndarray, v: np.ndarray, window: tuple[float, float]) -> float:
     mask = (t >= window[0]) & (t <= window[1])
     if not mask.any():
@@ -130,7 +172,8 @@ def _sweep_one(
     post_window: tuple[float, float],
 ) -> SweepSummary:
     try:
-        run = run_pair(spec, replace(config, K=K))
+        rows = run_pair(spec, replace(config, K=K), _WindowRows(pre_window, post_window))
+        run = Trajectory.of_pair_rows(rows.table(14))
         t = run.t
         return SweepSummary(
             K=K,

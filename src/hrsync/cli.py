@@ -20,7 +20,9 @@ both forms parse and fail alike; its help shows the default of
 byte-identical across repeated invocations of the same configuration on a
 given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
 ``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
-bytes hold for a given libm build.
+bytes hold for a given libm build; sums run left to right, so they do not
+depend on the Python version. Rows stream to ``<out>.part`` as the run goes,
+renamed to ``<out>`` on success and deleted on failure.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
 4 I/O error.
@@ -30,16 +32,19 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from array import array
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import sweep_K, windowed_average
+from .analysis import TrailingMean, sweep_K
 from .model import NeuronParams, NeuronState
-from .sim import AdaptationSpec, DivergenceError, PairConfig, SimSpec, run_isolated, run_pair
+from .sim import AdaptationSpec, DivergenceError, PairConfig, SimSpec, Sink, run_isolated, run_pair
 from .svgplot import Panel, write_chart
 
 __all__ = ["main"]
@@ -54,10 +59,6 @@ DIVERGENCE_MARKER = "ERR:divergence"
 #: Trailing window lengths (time units) for the averaged pair columns.
 H_WINDOW = 10.0
 HDOT_WINDOW = 5.0
-
-#: Rows formatted per write, so the text held in memory stays bounded.
-CSV_CHUNK_ROWS = 4096
-
 
 class ConfigError(ValueError):
     """Bad setting: unreadable or unparsable config file, unknown key, or a
@@ -209,106 +210,143 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """Write ``header`` and an iterable of newline-terminated rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        handle.writelines(lines)
-
-
-def _float_lines(*columns):
-    """CSV rows of float columns (1-d, or 2-d for several at once), formatted
-    ``CSV_CHUNK_ROWS`` rows at a time."""
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        rows = np.column_stack([c[lo : lo + CSV_CHUNK_ROWS] for c in columns]).tolist()
-        yield from [",".join(map(repr, row)) + "\n" for row in rows]
-
-
-def _aligned_average(t, values, window: float) -> list[str]:
-    """Trailing average formatted per row; empty until the window fills."""
+@contextmanager
+def _staged(path: Path, header: str):
+    """A text handle on ``<path>.part`` that starts with the ``header`` line.
+    On success the file replaces ``path``; on any failure it is deleted, so
+    a failed run leaves ``path`` as it was."""
+    part = path.with_name(path.name + ".part")
     try:
-        series = windowed_average(t, values, window)
+        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(header + "\n")
+            yield handle
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+class _ColumnWriter(Sink):
+    """Writes picked columns of each block of rows to CSV handles, and keeps
+    the ``kept`` columns whole for plotting."""
+
+    def __init__(self, outputs, kept=()):
+        self.outputs = [(handle, list(picks)) for handle, picks in outputs]
+        self.kept = {column: array("d") for column in kept}
+
+    def put(self, block: np.ndarray) -> None:
+        # line by line: a block's text would double the memory of its rows
+        for handle, picks in self.outputs:
+            write = handle.write
+            for row in block[:, picks].tolist():
+                write(",".join(map(repr, row)) + "\n")
+        for column, series in self.kept.items():
+            series.extend(block[:, column].tolist())
+
+
+def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
+    """The trailing mean over ``window`` on the run's recorded grid, or None
+    when the window never fills (its cells then stay empty)."""
+    steps = spec.recorded_steps
+    if len(steps) < 2:
+        return None
+    # the spacing windowed_average takes from the first and last sample time
+    spacing = (steps[-1] * spec.dt - steps[0] * spec.dt) / (len(steps) - 1)
+    try:
+        return TrailingMean(window, spacing, len(steps))
     except ValueError:
-        # run shorter than the window (or sampling coarser): all cells empty
-        return [""] * len(t)
-    offset = len(t) - len(series.values)
-    return [""] * offset + [_fmt(v) for v in series.values]
+        return None
+
+
+class _PairWriter(Sink):
+    """Writes each block of pair rows as CSV with the state error norm and
+    the trailing averages of the receiver's energy and its derivative; with
+    ``plot`` it keeps ``(times, values)`` of the current and each average."""
+
+    def __init__(self, handle, spec: SimSpec, plot: bool):
+        self.handle = handle
+        self.means = [_trailing_mean(spec, window) for window in (H_WINDOW, HDOT_WINDOW)]
+        self.plotted = [(array("d"), array("d")) for _ in range(3)] if plot else []
+
+    def put(self, block: np.ndarray) -> None:
+        n = len(block)
+        averages = [mean.push(block[:, column]).tolist() if mean else []
+                    for mean, column in zip(self.means, (12, 13))]
+        # each average starts once its window is full
+        for (times, values), new in zip(self.plotted, (block[:, 9].tolist(), *averages)):
+            times.extend(block[n - len(new):, 0].tolist())
+            values.extend(new)
+        cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
+        write = self.handle.write
+        for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), aH, aHd in zip(
+            block.tolist(), *cells
+        ):
+            e_norm = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2 + (w2 - w1) ** 2)
+            write(
+                f"{ti!r},{x1!r},{y1!r},{z1!r},{w1!r},{x2!r},{y2!r},{z2!r},{w2!r},{q!r},"
+                f"{e_norm!r},{H1!r},{Hd1!r},{H2!r},{Hd2!r},{aH},{aHd}\n"
+            )
 
 
 def cmd_isolated(cfg: RunConfig) -> list[Path]:
-    run = run_isolated(cfg.sim_spec(), _neuron_params(cfg.i1, cfg.pre_overrides))
+    spec = cfg.sim_spec()
+    params = _neuron_params(cfg.i1, cfg.pre_overrides)
     out = Path(cfg.out or "isolated.csv")
-
-    _write_csv(out, "t,x,y,z,w,H,Hdot", _float_lines(run.t, run.pre, run.H_pre, run.Hdot_pre))
-    written = [out]
+    files = [(out, "t,x,y,z,w,H,Hdot", range(7))]
+    if cfg.plot:
+        # attractor projections as flat data files, not rendered 3D
+        files += [
+            (out.with_name(f"{out.stem}_proj_{columns}.csv"), ",".join(columns),
+             [1 + "xyzw".index(c) for c in columns])
+            for columns in ("xyz", "xyw", "xzw")
+        ]
+    with ExitStack() as stack:
+        handles = [(stack.enter_context(_staged(path, header)), picks)
+                   for path, header, picks in files]
+        writer = _ColumnWriter(handles, kept=(0, 1, 5, 6) if cfg.plot else ())
+        run_isolated(spec, params, writer)
+    written = [path for path, _, _ in files]
 
     if cfg.plot:
-        t = run.t
-        state = run.pre
+        t, x, H, Hdot = writer.kept.values()
         chart = out.with_suffix(".svg")
         write_chart(
             chart,
             [
-                Panel("action potential", "t", "x").add("x", t, state[:, 0]),
-                Panel("energy", "t", "H").add("H", t, run.H_pre),
-                Panel("energy derivative", "t", "Hdot").add("Hdot", t, run.Hdot_pre),
+                Panel("action potential", "t", "x").add("x", t, x),
+                Panel("energy", "t", "H").add("H", t, H),
+                Panel("energy derivative", "t", "Hdot").add("Hdot", t, Hdot),
             ],
         )
-        written.append(chart)
-        # attractor projections as flat data files, not rendered 3D
-        for columns in ("xyz", "xyw", "xzw"):
-            picks = ["xyzw".index(c) for c in columns]
-            proj_path = out.with_name(f"{out.stem}_proj_{columns}.csv")
-            _write_csv(proj_path, ",".join(columns), _float_lines(state[:, picks]))
-            written.append(proj_path)
+        written.insert(1, chart)
 
     return written
 
 
 def cmd_pair(cfg: RunConfig) -> list[Path]:
-    run = run_pair(cfg.sim_spec(), cfg.pair_config())
+    spec, config = cfg.sim_spec(), cfg.pair_config()
     out = Path(cfg.out or "pair.csv")
-
-    t = run.t
-    avg_H2 = _aligned_average(t, run.H_post, H_WINDOW)
-    avg_Hdot2 = _aligned_average(t, run.Hdot_post, HDOT_WINDOW)
-
-    def lines():
-        for lo in range(0, len(run), CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            rows = np.column_stack((
-                t[lo:hi], run.pre[lo:hi], run.post[lo:hi], run.q[lo:hi],
-                run.H_pre[lo:hi], run.Hdot_pre[lo:hi], run.H_post[lo:hi], run.Hdot_post[lo:hi],
-            )).tolist()
-            for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), aH, aHd in zip(
-                rows, avg_H2[lo:hi], avg_Hdot2[lo:hi]
-            ):
-                e_norm = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2 + (w2 - w1) ** 2)
-                yield (
-                    f"{ti!r},{x1!r},{y1!r},{z1!r},{w1!r},{x2!r},{y2!r},{z2!r},{w2!r},{q!r},"
-                    f"{e_norm!r},{H1!r},{Hd1!r},{H2!r},{Hd2!r},{aH},{aHd}\n"
-                )
-
-    _write_csv(
-        out,
-        "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5",
-        lines(),
-    )
+    header = "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5"
+    with _staged(out, header) as handle:
+        writer = run_pair(spec, config, _PairWriter(handle, spec, cfg.plot))
     written = [out]
 
     if cfg.plot:
+        (t, q), *averages = writer.plotted
         chart = out.with_suffix(".svg")
-        panels = []
-        for title, ylabel, label, cells in (
-            ("receiving-neuron energy, 10-unit average", "H2", "avgH2_w10", avg_H2),
-            ("receiving-neuron energy derivative, 5-unit average", "Hdot2", "avgHdot2_w5", avg_Hdot2),
-        ):
+        panels = [
+            Panel(title, "t", ylabel).add(label, times, values)
+            for (title, ylabel, label), (times, values) in zip(
+                (
+                    ("receiving-neuron energy, 10-unit average", "H2", "avgH2_w10"),
+                    ("receiving-neuron energy derivative, 5-unit average", "Hdot2", "avgHdot2_w5"),
+                ),
+                averages,
+            )
             # an average whose window never filled has no panel
-            filled = [(tt, float(v)) for tt, v in zip(t, cells) if v]
-            if filled:
-                panels.append(Panel(title, "t", ylabel)
-                              .add(label, [p[0] for p in filled], [p[1] for p in filled]))
-        panels.append(Panel("adapted external current", "t", "I2").add("I2", t, run.q))
+            if values
+        ]
+        panels.append(Panel("adapted external current", "t", "I2").add("I2", t, q))
         write_chart(chart, panels)
         written.append(chart)
 
@@ -341,11 +379,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
                     _fmt(s.post_adapt_sync_rms),
                 )
 
-    _write_csv(
-        out,
-        "K,preH,preHdot,postH,postHdot,preSync,postSync",
-        (",".join(row) + "\n" for row in rows()),
-    )
+    with _staged(out, "K,preH,preHdot,postH,postHdot,preSync,postSync") as handle:
+        handle.writelines(",".join(row) + "\n" for row in rows())
     written = [out]
 
     if cfg.plot:

@@ -31,9 +31,11 @@ adapts ``a``, ``m`` or ``s`` stops with :class:`DivergenceError` once that
 parameter reaches zero or changes sign.
 
 Both the pair and the lone neuron (:func:`run_isolated`) go through one
-integration loop, recording into a columnar :class:`Trajectory`. Runs are
-deterministic: identical specs and configs produce bit-identical
-trajectories on a given build.
+integration loop. It hands the recorded rows to a :class:`Sink` a block at a
+time, so a caller that formats or reduces each block holds no more than one
+block of the run. Without a sink, a :class:`Collector` keeps every row and
+the run returns a columnar :class:`Trajectory`. Runs are deterministic:
+identical specs and configs produce bit-identical rows on a given build.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ from .model import (
 
 __all__ = [
     "AdaptationSpec",
+    "Collector",
     "DivergenceError",
     "PairConfig",
     "SimSpec",
+    "Sink",
     "Trajectory",
     "coupled_derivative",
     "rk4_step",
@@ -72,6 +76,10 @@ __all__ = [
 #: Trajectories of the canonical model stay within a few units of the origin;
 #: reaching this bound means the integration has left the physical regime.
 DIVERGENCE_BOUND = 100.0
+
+#: Rows per block that a run hands its sink, so a sink that formats or
+#: reduces each block holds no more than this many rows of the run.
+BLOCK_ROWS = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -154,6 +162,16 @@ class SimSpec:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    @property
+    def recorded_steps(self) -> range:
+        """Indices ``i`` of the recorded instants ``t = i*dt``: every
+        ``record_every``-th step from the first at or past ``transient``."""
+        rec, dt, start = self.record_every, self.dt, self.transient - 1e-12
+        first = max(0, math.floor(start / dt / rec) - 1) * rec
+        while first * dt < start:
+            first += rec
+        return range(first, self.n_steps + 1, rec)
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -191,6 +209,56 @@ class Trajectory:
     def e(self) -> np.ndarray:
         """State error ``post - pre``, one ``(n, 4)`` row per sample."""
         return self.post - self.pre
+
+    @classmethod
+    def of_pair_rows(cls, table: np.ndarray) -> "Trajectory":
+        """Columns of a pair run's ``(n, 14)`` rows, without copying."""
+        return cls(
+            t=table[:, 0],
+            pre=table[:, 1:5],
+            post=table[:, 5:9],
+            q=table[:, 9],
+            H_pre=table[:, 10],
+            Hdot_pre=table[:, 11],
+            H_post=table[:, 12],
+            Hdot_post=table[:, 13],
+        )
+
+
+class Sink:
+    """Receiver of a run's recorded rows, in time order.
+
+    The run calls :meth:`put` once per :data:`BLOCK_ROWS` recorded rows (the
+    last block may be shorter) with a fresh ``(n, width)`` float array. A
+    row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
+    ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
+    ``len()`` is the number of rows handed over so far. A run that stops
+    with :class:`DivergenceError` does not hand over its last partial block.
+    """
+
+    rows = 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def put(self, block: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class Collector(Sink):
+    """Sink that keeps every row it is handed, in one growing buffer."""
+
+    def __init__(self) -> None:
+        self.data = array("d")
+
+    def put(self, block: np.ndarray) -> None:
+        self.data.frombytes(block.view(np.uint8))
+
+    def table(self, width: int) -> np.ndarray:
+        """The kept rows as one read-only ``(n, width)`` array, without copying."""
+        table = np.frombuffer(self.data, dtype=float).reshape(-1, width)
+        table.flags.writeable = False
+        return table
 
 
 def rk4_step(f, state: tuple, t: float, dt: float) -> tuple:
@@ -357,8 +425,8 @@ def _inside_kernel(n: int, guarded: int):
 
 
 def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
-               guarded: int, row, signed: str | None = None) -> np.ndarray:
-    """RK4 from t=0 to ``spec.t_end``; returns the recorded rows, flattened.
+               guarded: int, row, width: int, sink: Sink, signed: str | None = None) -> None:
+    """RK4 from t=0 to ``spec.t_end``, handing the recorded rows to ``sink``.
 
     A step is ``active(state)`` when its left endpoint is at or past
     ``start``, else ``idle(state)``. A step whose result is not finite stops
@@ -366,22 +434,37 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
     are held to the divergence bound; one generated test, ``inside``, checks
     both on every step. If ``signed`` names the last component,
     that component must keep the sign it starts with and never reach zero.
-    Every ``spec.record_every`` steps from ``transient`` on, ``row(t, state)``
-    is appended to one flat float buffer, which is returned as a read-only
-    array without copying.
+    At each of ``spec.recorded_steps``, the ``width`` floats of
+    ``row(t, state)`` are appended to a flat buffer, which goes to
+    ``sink.put`` as an ``(n, width)`` array every :data:`BLOCK_ROWS` rows
+    and at the end.
     """
     dt = spec.dt
-    rec = spec.record_every
-    record_from = spec.transient - 1e-12
-    rows = array("d")
-    put = rows.extend
+    recorded = spec.recorded_steps
+    rec, first = recorded.step, recorded.start
+    per_block = BLOCK_ROWS
+    # step index of the last row of the current block
+    flush_at = first + (per_block - 1) * rec
+
+    def hand(block):
+        rows = np.frombuffer(block, dtype=float).reshape(-1, width)
+        sink.rows += len(rows)
+        sink.put(rows)
+
+    block = array("d")
+    put = block.extend
     n_steps = spec.n_steps
     sign = state[-1]
     inside = _inside_kernel(len(state), guarded)
     for i in range(n_steps + 1):
         t = i * dt
-        if i % rec == 0 and t >= record_from:
+        if i >= first and i % rec == 0:
             put(row(t, state))
+            if i == flush_at:
+                hand(block)
+                block = array("d")
+                put = block.extend
+                flush_at += per_block * rec
         if i == n_steps:
             break
         state = active(state) if t >= start else idle(state)
@@ -399,17 +482,17 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
                 f"adapted parameter {signed!r} reached zero or changed sign at"
                 f" t={(i + 1) * dt:g}; the energy divides by a and m*s",
             )
-    table = np.frombuffer(rows, dtype=float)
-    table.flags.writeable = False
-    return table
+    if block:
+        hand(block)
 
 
-def run_pair(spec: SimSpec, config: PairConfig) -> Trajectory:
+def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
     """Integrate the coupled pair from t=0 to ``spec.t_end``.
 
     Records every ``spec.record_every`` steps for ``t >= transient``.
     Energies are evaluated with each neuron's own parameters; the receiving
-    neuron uses the live adapted value.
+    neuron uses the live adapted value. Returns the :class:`Trajectory`, or,
+    given a ``sink``, hands it the rows and returns the sink.
     """
     adapt = config.adaptation
     start = adapt.start_time if adapt is not None else math.inf
@@ -418,28 +501,25 @@ def run_pair(spec: SimSpec, config: PairConfig) -> Trajectory:
     joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q)
     idle, active, row = _pair_kernels(config, spec.dt)
     signed = target if target in POLE_PARAMS else None
-    table = _integrate(spec, joint, idle, active, start, 8, row, signed).reshape(-1, 14)
-    return Trajectory(
-        t=table[:, 0],
-        pre=table[:, 1:5],
-        post=table[:, 5:9],
-        q=table[:, 9],
-        H_pre=table[:, 10],
-        Hdot_pre=table[:, 11],
-        H_post=table[:, 12],
-        Hdot_post=table[:, 13],
-    )
+    rows = Collector() if sink is None else sink
+    _integrate(spec, joint, idle, active, start, 8, row, 14, rows, signed)
+    return Trajectory.of_pair_rows(rows.table(14)) if sink is None else sink
 
 
-def run_isolated(spec: SimSpec, params: NeuronParams) -> Trajectory:
+def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
     """Integrate a single free neuron started from ``spec.initial_pre``.
 
-    The lone neuron fills both state slots (so the error is zero), and ``q``
-    is its constant external current.
+    Returns the :class:`Trajectory`, or, given a ``sink``, hands it the rows
+    and returns the sink. In the trajectory the lone neuron fills both state
+    slots (so the error is zero), and ``q`` is its constant external current.
     """
     step, row = _lone_kernels(params, spec.dt)
     start = spec.initial_pre.as_tuple()
-    table = _integrate(spec, start, step, step, math.inf, 4, row).reshape(-1, 7)
+    rows = Collector() if sink is None else sink
+    _integrate(spec, start, step, step, math.inf, 4, row, 7, rows)
+    if sink is not None:
+        return sink
+    table = rows.table(7)
     state = table[:, 1:5]
     q = np.full(len(table), params.I)
     q.flags.writeable = False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hrsync import analysis
 from hrsync.analysis import (
     SweepSummary,
+    TrailingMean,
     sweep_K,
     sync_rms,
     windowed_average,
@@ -104,6 +106,17 @@ class TestWindowedAverage:
         with pytest.raises(ValueError):
             windowed_average(np.array([0.0, 1.0, 3.0]), np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("block", [1, 3, 9, 10, 11, 64, 299])
+    def test_blocks_give_the_bits_of_one_pass(self, block):
+        # the running sum continues across blocks, so any split is exact
+        rng = np.random.default_rng(8)
+        t = np.arange(300) * 0.2
+        v = rng.normal(size=300) * 10.0 ** rng.integers(-8, 8, size=300)
+        whole = windowed_average(t, v, 2.0).values
+        mean = TrailingMean(2.0, 0.2, len(v))
+        parts = [mean.push(v[lo : lo + block]) for lo in range(0, len(v), block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
 
 class TestSyncRms:
     def test_identical_trajectories(self):
@@ -117,6 +130,13 @@ class TestSyncRms:
     def test_norm_is_full_state(self):
         run = fake_run([0.0, 1.0], e=(1.0, 1.0, 1.0, 1.0))
         assert sync_rms(run, 0.0, 1.0) == pytest.approx(2.0)
+
+    def test_sum_is_left_to_right(self):
+        # squared norms 1e16, 1, 1: a plain float sum gives 1e16, the
+        # compensated builtin sum() of Python 3.12 on gives 1e16 + 2
+        run = fake_run([0.0, 1.0, 2.0])
+        run = dataclasses.replace(run, post=np.array([[1e8, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0.0]]))
+        assert sync_rms(run, 0.0, 2.0) == math.sqrt(1e16 / 3)
 
     def test_usage_errors(self):
         run = fake_run([t * 1.0 for t in range(5)])
@@ -148,6 +168,20 @@ class TestSweep:
         assert summary.pre_adapt_sync_rms == pytest.approx(
             sync_rms(run, 50.0, 100.0), rel=1e-12
         )
+
+    def test_window_rows_give_the_bits_of_the_full_run(self):
+        # a sweep keeps only the rows of its two windows; the reductions
+        # select the same rows as on the whole trajectory
+        spec = SimSpec(dt=0.01, t_end=200.0, record_every=3, transient=20.0)
+        (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG)
+        run = run_pair(spec, REFERENCE_CONFIG)
+        windows = ((50.0, 100.0), (150.0, 200.0))
+        want = [analysis._window_mean(run.t, getattr(run, name), window)
+                for window in windows for name in ("H_post", "Hdot_post")]
+        want += [sync_rms(run, *window) for window in windows]
+        assert [summary.pre_adapt_avg_H, summary.pre_adapt_avg_Hdot,
+                summary.post_adapt_avg_H, summary.post_adapt_avg_Hdot,
+                summary.pre_adapt_sync_rms, summary.post_adapt_sync_rms] == want
 
     def test_parallel_and_serial_agree(self, monkeypatch):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)

@@ -4,11 +4,12 @@ import hashlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hrsync import analysis
+from hrsync import analysis, sim
 from hrsync.analysis import sweep_K
 from hrsync.cli import RunConfig, build_parser, main, resolve_config
 from hrsync.model import NeuronParams
@@ -125,8 +126,9 @@ class TestPair:
             assert cells[15] == "" and cells[16] == ""
 
     def test_no_adapt_keeps_current_constant(self, tmp_path):
+        # the law would start at t=1, well inside the run
         out = tmp_path / "pair.csv"
-        main(["pair", "--t-end", "5", "--no-adapt", "--out", str(out)])
+        main(["pair", "--t-end", "5", "--adapt-at", "1", "--no-adapt", "--out", str(out)])
         currents = {line.split(",")[9] for line in read_lines(out)[1:]}
         assert currents == {"0.85"}
 
@@ -140,6 +142,18 @@ class TestPair:
         code = main(["pair", "--t-end", "10", "--K", "1e6",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--t-end", "10", "--K", "1e6"],
+        ["isolated", "--t-end", "10", "--i1", "1e6", "--plot"],
+    ], ids=" ".join)
+    def test_failed_run_leaves_existing_output_unchanged(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main([*argv, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(tmp_path.iterdir()) == [out]
 
     def test_unwritable_output_exits_4(self, tmp_path):
         code = main(["pair", "--t-end", "1",
@@ -379,14 +393,64 @@ class TestResolution:
         assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("name", list(PINNED_SHA256))
-def test_output_bytes_are_pinned(tmp_path, name):
-    argv, config_lines, digest = PINNED_SHA256[name]
+def pinned_digest(tmp_path, name):
+    argv, config_lines, _ = PINNED_SHA256[name]
     config = tmp_path / "run.cfg"
     config.write_text("".join(line + "\n" for line in config_lines), encoding="utf-8")
     out = tmp_path / "out.csv"
     assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_SHA256))
+def test_output_bytes_are_pinned(tmp_path, name):
+    assert pinned_digest(tmp_path, name) == PINNED_SHA256[name][2]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 499, 500, 999, 1000, 1001])
+def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rows):
+    # the averaging windows span 500 and 1000 rows at dt = 0.01
+    monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+    for name, (_, _, digest) in PINNED_SHA256.items():
+        assert pinned_digest(tmp_path, name) == digest, name
+
+
+def test_sampled_pair_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # every 3rd step from t = 5.52: windows of 334 and 167 rows
+    argv = ["pair", "--t-end", "40", "--plot", "--config", str(tmp_path / "run.cfg")]
+    (tmp_path / "run.cfg").write_text("record_every = 3\ntransient = 5.5\n", encoding="utf-8")
+
+    def output(rows):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        out = tmp_path / f"rows{rows}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes(), out.with_suffix(".svg").read_bytes()
+
+    default = output(sim.BLOCK_ROWS)
+    assert len(default[0].splitlines()) == 1 + 1150
+    for rows in (1, 166, 167, 333, 334, 335):
+        assert output(rows) == default
+
+
+def traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["isolated", "pair"])
+def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
+    # tracing every allocation slows a run some 20-fold, so small blocks let
+    # short runs stand for long ones: 10 blocks against 100
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
+    out = str(tmp_path / "out.csv")
+    main([command, "--t-end", "5", "--out", out])  # one-time costs
+    short = traced_peak([command, "--t-end", "5", "--out", out])
+    long = traced_peak([command, "--t-end", "50", "--out", out])
+    assert abs(long - short) < 0.1 * short, (short, long)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from hrsync import sim
 from hrsync.energy import energy_terms
 from hrsync.model import (
     ADAPTABLE_PARAMS,
@@ -19,6 +20,8 @@ from hrsync.sim import (
     DivergenceError,
     PairConfig,
     SimSpec,
+    Sink,
+    Trajectory,
     _lone_kernels,
     _pair_kernels,
     coupled_derivative,
@@ -288,6 +291,57 @@ class TestRunPair:
         )
         stale = energy_report(post_state, QUIET).Hdot
         assert run.Hdot_post[i] != pytest.approx(stale, rel=1e-6)
+
+
+class Blocks(Sink):
+    def __init__(self):
+        self.blocks = []
+
+    def put(self, block):
+        self.blocks.append(block.copy())
+
+
+class TestSinks:
+    @pytest.mark.parametrize("dt, t_end, record_every, transient", [
+        (0.01, 2.0, 1, 0.0),
+        (0.01, 2.0, 3, 0.5),
+        (0.1, 3.0, 7, 1.3),
+        (0.03, 0.3, 4, 0.29),  # no recorded step
+        (1e-3, 0.05, 2, 0.007),
+    ])
+    def test_recorded_steps_are_the_recorded_times(self, dt, t_end, record_every, transient):
+        spec = SimSpec(dt=dt, t_end=t_end, record_every=record_every, transient=transient)
+        brute = [i for i in range(spec.n_steps + 1)
+                 if i % record_every == 0 and i * dt >= transient - 1e-12]
+        assert list(spec.recorded_steps) == brute
+        times = run_isolated(spec, CANON).t.tolist()
+        assert times == [i * dt for i in brute]
+
+    @pytest.mark.parametrize("block_rows", [1, 6, 7, 8, 50, 4096])
+    def test_blocks_make_up_the_trajectory(self, monkeypatch, block_rows):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        spec = SimSpec(dt=0.01, t_end=1.5, record_every=2, transient=0.1)
+        whole = run_pair(spec, REFERENCE_CONFIG)
+        sink = run_pair(spec, REFERENCE_CONFIG, Blocks())
+        assert len(sink) == len(whole) == 71
+        assert [len(b) for b in sink.blocks[:-1]] == [block_rows] * (len(sink.blocks) - 1)
+        assert 0 < len(sink.blocks[-1]) <= block_rows
+        assert Trajectory.of_pair_rows(np.concatenate(sink.blocks)) == whole
+
+    def test_lone_rows(self):
+        spec = SimSpec(dt=0.01, t_end=0.5)
+        run = run_isolated(spec, CANON)
+        (block,) = run_isolated(spec, CANON, Blocks()).blocks
+        assert block.tolist() == np.column_stack(
+            (run.t, run.pre, run.H_pre, run.Hdot_pre)).tolist()
+
+    def test_divergence_hands_over_no_partial_block(self, monkeypatch):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+        config = replace(REFERENCE_CONFIG, K=1e6)
+        sink = Blocks()
+        with pytest.raises(DivergenceError):
+            run_pair(SimSpec(dt=0.01, t_end=10.0), config, sink)
+        assert all(len(b) == 10 for b in sink.blocks)
 
 
 class TestRunIsolated:
