@@ -10,9 +10,11 @@ current removes the mismatch and with it the synchronization cost.
 
 The package is organized as:
 
-* :mod:`hrsync.model`    - parameters, states, vector field and its
-  conservative/dissipative split, parameter sensitivities.
-* :mod:`hrsync.energy`   - energy function, gradient, energy derivative.
+* :mod:`hrsync.model`    - parameters, states, the expression tables of the
+  vector field, its conservative part and the parameter sensitivities, and
+  the per-point kernels ``field`` and ``conservative``.
+* :mod:`hrsync.energy`   - the energy table and its per-point kernel
+  ``energy_terms``: energy, gradient, dissipative part, energy derivative.
 * :mod:`hrsync.sim`      - fixed-step integration of one neuron or the
   coupled pair, with the adaptive law.
 * :mod:`hrsync.analysis` - windowed averages, sync error, coupling sweeps.
@@ -20,17 +22,8 @@ The package is organized as:
 """
 
 from .analysis import SweepSummary, WindowedSeries, sweep_K, sync_rms, windowed_average
-from .energy import EnergyReport, energy, energy_derivative, energy_gradient, energy_report
-from .model import (
-    ADAPTABLE_PARAMS,
-    NeuronParams,
-    NeuronState,
-    StateDerivative,
-    conservative_field,
-    dissipative_field,
-    param_sensitivity,
-    vector_field,
-)
+from .energy import energy_terms
+from .model import ADAPTABLE_PARAMS, NeuronParams, NeuronState, conservative, field
 from .sim import (
     AdaptationSpec,
     DivergenceError,
@@ -49,28 +42,21 @@ __all__ = [
     "ADAPTABLE_PARAMS",
     "AdaptationSpec",
     "DivergenceError",
-    "EnergyReport",
     "NeuronParams",
     "NeuronState",
     "PairConfig",
     "SimSpec",
-    "StateDerivative",
     "SweepSummary",
     "Trajectory",
     "WindowedSeries",
-    "conservative_field",
+    "conservative",
     "coupled_derivative",
-    "dissipative_field",
-    "energy",
-    "energy_derivative",
-    "energy_gradient",
-    "energy_report",
-    "param_sensitivity",
+    "energy_terms",
+    "field",
     "rk4_step",
     "run_isolated",
     "run_pair",
     "sweep_K",
     "sync_rms",
-    "vector_field",
     "windowed_average",
 ]

@@ -61,10 +61,11 @@ class TrailingMean:
     def __init__(self, window: float, spacing: float, n: int):
         if window < spacing:
             raise ValueError("window must be at least the sample spacing")
-        # tolerant of float ratio noise
-        self.k = math.ceil(window / spacing - 1e-9)
-        if self.k > n:
+        # tolerant of float ratio noise; checked before ceil, which fails on inf
+        ratio = window / spacing - 1e-9
+        if ratio > n:
             raise ValueError("window longer than the series")
+        self.k = math.ceil(ratio)
         self._sums = None  # the last k running sums, the newest last
 
     def push(self, values: np.ndarray) -> np.ndarray:

@@ -139,7 +139,13 @@ class RunConfig:
             setattr(self, key, value)
 
     def sim_spec(self) -> SimSpec:
-        return SimSpec(**{f.name: getattr(self, f.name) for f in dc_fields(SimSpec)})
+        spec = SimSpec(**{f.name: getattr(self, f.name) for f in dc_fields(SimSpec)})
+        if not spec.recorded_steps:
+            raise ConfigError(
+                f"no step is recorded: with record_every = {spec.record_every}, no recorded"
+                f" step falls between transient = {spec.transient:g} and t_end = {spec.t_end:g}"
+            )
+        return spec
 
     def pair_config(self) -> PairConfig:
         adaptation = None

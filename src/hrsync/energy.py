@@ -21,8 +21,9 @@ The table :data:`ENERGY` holds all of it once, as expression strings. The
 per-point kernel :func:`energy_terms` is generated from it and takes the flat
 parameter values that :func:`hrsync.model.field` takes, so a live adapted
 parameter is substituted the same way in both; the integrator generates its
-sample row from the same table. The dissipative part is part of the table;
-:func:`hrsync.model.dissipative_field` reads it from there.
+sample row from the same table. The dissipative part ``f_d`` is part of the
+table and of the kernel's result; the conservative remainder is
+:func:`hrsync.model.conservative`.
 
 Division guards: the energy divides by ``a`` and ``m*s``. A parameter record
 with either at zero is rejected when it is constructed, and a run that adapts
@@ -32,39 +33,14 @@ one of them stops with a divergence error before it reaches zero.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
 
-import numpy as np
+from .model import point_kernel
 
-from .model import NeuronParams, NeuronState, point_kernel
-
-__all__ = [
-    "ENERGY",
-    "EnergyReport",
-    "energy",
-    "energy_gradient",
-    "energy_derivative",
-    "energy_report",
-    "energy_terms",
-    "POLE_PARAMS",
-]
+__all__ = ["ENERGY", "POLE_PARAMS", "energy_terms"]
 
 #: Parameters whose zero is a pole of the energy, which divides by ``a`` and
 #: ``m*s``.
 POLE_PARAMS = ("a", "m", "s")
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy bookkeeping at a single state.
-
-    ``Hdot`` equals ``gradient . dissipative_field`` exactly; the report is
-    produced by :func:`energy_report`, which computes it that way.
-    """
-
-    H: float
-    Hdot: float
-    gradient: tuple[float, float, float, float]
 
 
 #: The energy, the one table every energy kernel is generated from:
@@ -103,37 +79,3 @@ def energy_terms(x: float, y: float, z: float, w: float, P: Sequence[float]):
     """
     kernel = point_kernel("energy_terms", ENERGY, "(H, Hdot, (gx, gy, gz, gw), (d1, d2, d3, d4))")
     return kernel(x, y, z, w, P)
-
-
-def energy(state: NeuronState, params: NeuronParams) -> float:
-    """Energy of the neuron at ``state``."""
-    H, _, _, _ = energy_terms(*state.as_tuple(), astuple(params))
-    return H
-
-
-def energy_gradient(state: NeuronState, params: NeuronParams) -> np.ndarray:
-    """Gradient of the energy with respect to (x, y, z, w).
-
-    Closed form, scaled by 2p/a:
-
-        ( f*x^2 + (C/a)*x + g*w,  a*y - d*z,  (d/(a*m*s))*C*z - d*y,  g*x )
-    """
-    _, _, grad, _ = energy_terms(*state.as_tuple(), astuple(params))
-    return np.array(grad)
-
-
-def energy_derivative(state: NeuronState, params: NeuronParams) -> float:
-    """Energy exchanged with the environment per unit time at ``state``.
-
-    Equals ``energy_gradient(state) . dissipative_field(state)``; its long
-    term average vanishes on the free attractor and is nonzero for a neuron
-    held off its natural attractor by a coupling device.
-    """
-    _, Hdot, _, _ = energy_terms(*state.as_tuple(), astuple(params))
-    return Hdot
-
-
-def energy_report(state: NeuronState, params: NeuronParams) -> EnergyReport:
-    """Bundle ``H``, ``Hdot`` and the gradient in one evaluation."""
-    H, Hdot, grad, _ = energy_terms(*state.as_tuple(), astuple(params))
-    return EnergyReport(H=H, Hdot=Hdot, gradient=grad)

@@ -15,8 +15,9 @@ remainder, which is what the :mod:`hrsync.energy` module relies on.
 
 The equations are data: :data:`FIELD` holds them once, as expression
 strings, and every kernel that evaluates them is generated from it (see
-:mod:`hrsync.codegen`). The per-point kernel :func:`field` takes the state and
-the flat parameter values in :class:`NeuronParams` field order
+:mod:`hrsync.codegen`). The per-point kernels :func:`field` and
+:func:`conservative` (from :data:`CONSERVATIVE`) take the state and the flat
+parameter values in :class:`NeuronParams` field order
 (``dataclasses.astuple``), so an adapted parameter's live value is substituted
 at its :data:`PARAM_INDEX`. The field is linear in every parameter and
 ``d f / d q`` has a single nonzero component; :data:`SENSITIVITY_EXPR` holds
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache, partial
 
 from .codegen import compile_kernel
@@ -45,12 +46,8 @@ __all__ = [
     "SENSITIVITY_EXPR",
     "NeuronParams",
     "NeuronState",
-    "StateDerivative",
-    "conservative_field",
-    "dissipative_field",
+    "conservative",
     "field",
-    "param_sensitivity",
-    "vector_field",
 ]
 
 
@@ -119,10 +116,6 @@ class NeuronParams:
             p=-1.0,
         )
 
-    def with_current(self, I: float) -> "NeuronParams":
-        """Copy of this parameter set with the external current replaced."""
-        return replace(self, I=I)
-
 
 @dataclass(frozen=True)
 class NeuronState:
@@ -140,24 +133,6 @@ class NeuronState:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.z, self.w)
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of a :class:`NeuronState`, per unit dimensionless time."""
-
-    dx: float
-    dy: float
-    dz: float
-    dw: float
-
-    def __post_init__(self) -> None:
-        for name in ("dx", "dy", "dz", "dw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"derivative component {name!r} must be finite")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.dx, self.dy, self.dz, self.dw)
 
 
 #: Position of each parameter in the flat tuple ``dataclasses.astuple(params)``
@@ -223,12 +198,18 @@ def field(x: float, y: float, z: float, w: float, P: Sequence[float]) -> tuple:
     return point_kernel("field", FIELD, "(dx, dy, dz, dw)")(x, y, z, w, P)
 
 
+def conservative(x: float, y: float, z: float, w: float, P: Sequence[float]) -> tuple:
+    """The conservative part of the field at (x, y, z, w), generated from
+    :data:`CONSERVATIVE`; it is everywhere orthogonal to the energy gradient."""
+    return point_kernel("conservative", (), "(" + ", ".join(CONSERVATIVE) + ")")(x, y, z, w, P)
+
+
 def _sensitivity(target: str, x: float, y: float, z: float, w: float, P: Sequence[float]):
     return point_kernel(f"d_{target}", FIELD[:1], SENSITIVITY_EXPR[target][1])(x, y, z, w, P)
 
 
 #: ``target -> (row, value(x, y, z, w, P))``, the per-point form of
-#: :data:`SENSITIVITY_EXPR`, which :func:`param_sensitivity` reads.
+#: :data:`SENSITIVITY_EXPR`, which :func:`hrsync.sim.coupled_derivative` reads.
 SENSITIVITY = {
     target: (row, partial(_sensitivity, target)) for target, (row, _) in SENSITIVITY_EXPR.items()
 }
@@ -236,50 +217,3 @@ SENSITIVITY = {
 #: Parameters the adaptive law may target. ``p`` is excluded: it does not
 #: enter the vector field, so its sensitivity is identically zero.
 ADAPTABLE_PARAMS: tuple[str, ...] = tuple(SENSITIVITY)
-
-
-def vector_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
-    """Right-hand side of the equations of motion at ``state``."""
-    return StateDerivative(*field(*state.as_tuple(), astuple(params)))
-
-
-def dissipative_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
-    """Dissipative part of the field: the component responsible for the
-    neuron's energy exchange with its environment.
-
-    f_d = (b*x^2 - c*x^3 + xi*I, e - y, m*s*h - m*z, n*r*l - n*k*w), taken
-    from the energy kernel, which folds it into ``Hdot = grad(H) . f_d``.
-    """
-    from .energy import energy_terms  # the energy module builds on this one
-
-    return StateDerivative(*energy_terms(*state.as_tuple(), astuple(params))[3])
-
-
-def conservative_field(state: NeuronState, params: NeuronParams) -> StateDerivative:
-    """Conservative remainder ``vector_field - dissipative_field``.
-
-    Closed form :data:`CONSERVATIVE`, (a*y - d*z, -f*x^2 - g*w, m*s*x, n*r*y);
-    it is everywhere orthogonal to the energy gradient.
-    """
-    kernel = point_kernel("conservative", (), "(" + ", ".join(CONSERVATIVE) + ")")
-    return StateDerivative(*kernel(*state.as_tuple(), astuple(params)))
-
-
-def param_sensitivity(
-    state: NeuronState, params: NeuronParams, which: str
-) -> StateDerivative:
-    """Partial derivative of the vector field with respect to one parameter.
-
-    ``which`` must name a :class:`NeuronParams` field other than ``p``. The
-    value comes from :data:`SENSITIVITY`, the table the adaptive law reads;
-    for ``which="I"`` it is the constant (xi, 0, 0, 0).
-    """
-    if which not in SENSITIVITY:
-        raise ValueError(
-            f"unknown or non-adaptable parameter {which!r}; "
-            f"expected one of {ADAPTABLE_PARAMS}"
-        )
-    row, value = SENSITIVITY[which]
-    out = [0.0, 0.0, 0.0, 0.0]
-    out[row] = value(*state.as_tuple(), astuple(params))
-    return StateDerivative(*out)

@@ -29,8 +29,9 @@ class Panel:
         default_factory=list
     )
 
-    def add(self, label: str, xs, ys) -> "Panel":
-        self.series.append((label, list(xs), list(ys)))
+    def add(self, label: str, xs: Sequence[float], ys: Sequence[float]) -> "Panel":
+        """Add a series; it is kept as given, not copied."""
+        self.series.append((label, xs, ys))
         return self
 
 
@@ -64,15 +65,15 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def _decimate(xs: list, ys: list) -> tuple[list, list]:
+def _decimate(xs: Sequence[float], ys: Sequence[float]) -> tuple[list, list]:
+    """Every ``stride``-th point plus the last, as lists of the kept points."""
     n = len(xs)
-    if n <= _MAX_POINTS_PER_SERIES:
-        return xs, ys
-    stride = -(-n // _MAX_POINTS_PER_SERIES)
-    keep = list(range(0, n, stride))
-    if keep[-1] != n - 1:
-        keep.append(n - 1)
-    return [xs[i] for i in keep], [ys[i] for i in keep]
+    stride = max(1, -(-n // _MAX_POINTS_PER_SERIES))
+    kept_x, kept_y = list(xs[::stride]), list(ys[::stride])
+    if (n - 1) % stride:
+        kept_x.append(xs[-1])
+        kept_y.append(ys[-1])
+    return kept_x, kept_y
 
 
 def _fmt_tick(value: float) -> str:
@@ -109,7 +110,7 @@ def write_chart(
         bottom = (index + 1) * panel_height - margin_bottom
         plot_h = bottom - top
 
-        data = [_decimate(list(xs), list(ys)) for _, xs, ys in panel.series]
+        data = [_decimate(xs, ys) for _, xs, ys in panel.series]
         all_x = [v for xs, _ in data for v in xs]
         all_y = [v for _, ys in data for v in ys if math.isfinite(v)]
         if not all_x or not all_y:

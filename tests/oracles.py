@@ -8,12 +8,12 @@ provided for derivative cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
 
-from hrsync.model import NeuronParams, NeuronState, vector_field
+from hrsync.model import NeuronParams, field
 
 _NAMES = ("a", "b", "c", "d", "xi", "I", "e", "f", "g", "m", "s", "h", "n", "k", "r", "l", "p")
 
@@ -86,21 +86,20 @@ def as_floats(values) -> np.ndarray:
     return np.array([float(v) for v in values])
 
 
-def fd_gradient(func, state: NeuronState, step: float = 1e-6) -> np.ndarray:
-    """Central finite difference of a scalar function of a NeuronState."""
-    base = list(state.as_tuple())
+def fd_gradient(func, state, step: float = 1e-6) -> np.ndarray:
+    """Central finite difference of a scalar function ``func(x, y, z, w)``."""
+    base = list(state)
     out = []
     for i in range(4):
         hi, lo = list(base), list(base)
         hi[i] += step
         lo[i] -= step
-        out.append((func(NeuronState(*hi)) - func(NeuronState(*lo))) / (2 * step))
+        out.append((func(*hi) - func(*lo)) / (2 * step))
     return np.array(out)
 
 
-def fd_param_sensitivity(
-    state: NeuronState, params: NeuronParams, which: str, step: float = 1e-6
-) -> np.ndarray:
-    hi = vector_field(state, replace(params, **{which: getattr(params, which) + step}))
-    lo = vector_field(state, replace(params, **{which: getattr(params, which) - step}))
-    return (as_floats(hi.as_tuple()) - as_floats(lo.as_tuple())) / (2 * step)
+def fd_param_sensitivity(state, params: NeuronParams, which: str, step: float = 1e-6) -> np.ndarray:
+    """Central finite difference of the field at ``state`` in one parameter."""
+    hi = field(*state, astuple(replace(params, **{which: getattr(params, which) + step})))
+    lo = field(*state, astuple(replace(params, **{which: getattr(params, which) - step})))
+    return (as_floats(hi) - as_floats(lo)) / (2 * step)

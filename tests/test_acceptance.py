@@ -28,13 +28,13 @@ by the model rather than by a time budget.
 """
 
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
 from hrsync.analysis import sweep_K, sync_rms, windowed_average
-from hrsync.energy import energy, energy_gradient
-from hrsync.model import NeuronParams, NeuronState, conservative_field
+from hrsync.energy import energy_terms
+from hrsync.model import NeuronParams, NeuronState, conservative
 from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, run_isolated, run_pair
 
 from oracles import fd_gradient
@@ -98,7 +98,7 @@ class Criterion:
 
 def random_states(n, seed):
     rng = np.random.default_rng(seed)
-    return [NeuronState(*rng.uniform(-2, 2, 4)) for _ in range(n)]
+    return [tuple(rng.uniform(-2, 2, 4).tolist()) for _ in range(n)]
 
 
 def timed_pair_run(spec, config):
@@ -117,9 +117,10 @@ def test_criterion_1_gradient_correctness():
     crit = Criterion(1, "gradient vs finite differences")
     start = time.perf_counter()
     worst = 0.0
+    P = astuple(CANON)
     for state in random_states(100, seed=101):
-        grad = energy_gradient(state, CANON)
-        fd = fd_gradient(lambda s: energy(s, CANON), state, step=1e-6)
+        grad = np.array(energy_terms(*state, P)[2])
+        fd = fd_gradient(lambda *s: energy_terms(*s, P)[0], state, step=1e-6)
         worst = max(worst, np.linalg.norm(fd - grad) / (1.0 + np.linalg.norm(grad)))
     elapsed = time.perf_counter() - start
     crit.check(worst <= 1e-6, f"max rel gradient error {worst:.3e} <= 1e-6")
@@ -131,9 +132,10 @@ def test_criterion_2_conservative_orthogonality():
     crit = Criterion(2, "gradient orthogonal to conservative part")
     start = time.perf_counter()
     worst = 0.0
+    P = astuple(CANON)
     for state in random_states(100, seed=101):
-        grad = energy_gradient(state, CANON)
-        cons = np.array(conservative_field(state, CANON).as_tuple())
+        grad = np.array(energy_terms(*state, P)[2])
+        cons = np.array(conservative(*state, P))
         bound = 1e-10 * (1.0 + np.linalg.norm(grad) * np.linalg.norm(cons))
         worst = max(worst, abs(float(grad @ cons)) / bound)
     elapsed = time.perf_counter() - start

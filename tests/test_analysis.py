@@ -105,6 +105,8 @@ class TestWindowedAverage:
             windowed_average(t, v, 100.0)  # longer than the series
         with pytest.raises(ValueError):
             windowed_average(np.array([0.0, 1.0, 3.0]), np.ones(3), 1.0)
+        with pytest.raises(ValueError):
+            TrailingMean(10.0, 1e-320, 2)  # window over spacing overflows to inf
 
     @pytest.mark.parametrize("block", [1, 3, 9, 10, 11, 64, 299])
     def test_blocks_give_the_bits_of_one_pass(self, block):

@@ -155,6 +155,20 @@ class TestPair:
         assert out.read_bytes() == b"earlier result\n"
         assert sorted(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("argv", [["pair"], ["pair", "--plot"], ["isolated", "--plot"]],
+                             ids=" ".join)
+    def test_run_that_records_no_step_exits_2(self, tmp_path, capsys, argv):
+        # the run has steps 0 to 10; the first multiple of 4 at or past t = 0.29 is 12
+        config = tmp_path / "run.cfg"
+        config.write_text("record_every = 4\ntransient = 0.29\n", encoding="utf-8")
+        code = main([*argv, "--config", str(config), "--dt", "0.03", "--t-end", "0.3",
+                     "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no step is recorded" in err and "transient" in err and "record_every" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [config]
+
     def test_unwritable_output_exits_4(self, tmp_path):
         code = main(["pair", "--t-end", "1",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])

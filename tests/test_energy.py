@@ -1,14 +1,10 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from hrsync.energy import energy, energy_derivative, energy_gradient, energy_report
-from hrsync.model import (
-    NeuronParams,
-    NeuronState,
-    conservative_field,
-    dissipative_field,
-    vector_field,
-)
+from hrsync.energy import energy_terms
+from hrsync.model import NeuronParams, conservative, field
 from hrsync.sim import SimSpec, run_isolated
 
 from oracles import (
@@ -20,88 +16,81 @@ from oracles import (
 )
 
 CANON = NeuronParams.canonical(I=3.024)
-ORIGIN = NeuronState(0.0, 0.0, 0.0, 0.0)
+P = astuple(CANON)
+ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 
 def random_states(n, seed):
     rng = np.random.default_rng(seed)
-    return [NeuronState(*rng.uniform(-2, 2, 4)) for _ in range(n)]
+    return [tuple(rng.uniform(-2, 2, 4).tolist()) for _ in range(n)]
 
 
 class TestEnergy:
     def test_zero_at_origin(self):
-        assert energy(ORIGIN, CANON) == 0.0
+        assert energy_terms(*ORIGIN, P)[0] == 0.0
 
     def test_pure_y_state(self):
         # only the a*y^2 term survives: H = p*y^2 = -1
-        assert energy(NeuronState(0, 1, 0, 0), CANON) == pytest.approx(-1.0, rel=1e-15)
+        assert energy_terms(0, 1, 0, 0, P)[0] == pytest.approx(-1.0, rel=1e-15)
 
     def test_matches_exact_arithmetic_at_ones(self):
-        want = float(energy_exact(NeuronState(1, 1, 1, 1), CANON))
-        assert energy(NeuronState(1, 1, 1, 1), CANON) == pytest.approx(want, rel=1e-13)
+        want = float(energy_exact((1, 1, 1, 1), CANON))
+        assert energy_terms(1, 1, 1, 1, P)[0] == pytest.approx(want, rel=1e-13)
 
     def test_matches_exact_arithmetic_random(self):
         for state in random_states(50, seed=11):
             want = float(energy_exact(state, CANON))
-            assert energy(state, CANON) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert energy_terms(*state, P)[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestGradient:
     def test_zero_at_origin(self):
-        np.testing.assert_array_equal(energy_gradient(ORIGIN, CANON), np.zeros(4))
+        np.testing.assert_array_equal(energy_terms(*ORIGIN, P)[2], np.zeros(4))
 
     def test_pure_y_state(self):
-        got = energy_gradient(NeuronState(0, 1, 0, 0), CANON)
+        got = energy_terms(0, 1, 0, 0, P)[2]
         np.testing.assert_allclose(got, (0.0, -2.0, 1.98, 0.0), rtol=1e-15)
 
     def test_matches_exact_arithmetic(self):
         for state in random_states(50, seed=12):
             want = as_floats(energy_gradient_exact(state, CANON))
-            np.testing.assert_allclose(energy_gradient(state, CANON), want,
+            np.testing.assert_allclose(energy_terms(*state, P)[2], want,
                                        rtol=1e-12, atol=1e-15)
 
     def test_matches_finite_differences(self):
         # step 1e-6, 100 random states, relative error 1e-6
         for state in random_states(100, seed=13):
-            grad = energy_gradient(state, CANON)
-            fd = fd_gradient(lambda s: energy(s, CANON), state)
+            grad = np.array(energy_terms(*state, P)[2])
+            fd = fd_gradient(lambda *s: energy_terms(*s, P)[0], state)
             assert np.linalg.norm(fd - grad) <= 1e-6 * (1.0 + np.linalg.norm(grad))
 
 
 class TestEnergyDerivative:
     def test_zero_at_origin(self):
-        assert energy_derivative(ORIGIN, CANON) == 0.0
+        assert energy_terms(*ORIGIN, P)[1] == 0.0
 
     def test_is_gradient_dot_dissipative(self):
         # bit-exact: Hdot is computed as this inner product, never expanded
         for state in random_states(50, seed=14):
-            g = [float(v) for v in energy_gradient(state, CANON)]
-            d = dissipative_field(state, CANON).as_tuple()
+            _, hdot, g, d = energy_terms(*state, P)
             want = g[0] * d[0] + g[1] * d[1] + g[2] * d[2] + g[3] * d[3]
-            assert energy_derivative(state, CANON) == want
+            assert hdot == want
 
     def test_matches_exact_arithmetic(self):
         for state in random_states(50, seed=15):
             want = float(energy_derivative_exact(state, CANON))
-            assert energy_derivative(state, CANON) == pytest.approx(want, rel=1e-11, abs=1e-14)
+            assert energy_terms(*state, P)[1] == pytest.approx(want, rel=1e-11, abs=1e-14)
 
     def test_orthogonality_identity(self):
         # grad . f equals grad . f_d because grad . f_c vanishes identically
         for state in random_states(100, seed=16):
-            grad = energy_gradient(state, CANON)
-            full = as_floats(vector_field(state, CANON).as_tuple())
-            cons = as_floats(conservative_field(state, CANON).as_tuple())
-            hdot = energy_derivative(state, CANON)
+            _, hdot, grad, _ = energy_terms(*state, P)
+            grad = np.array(grad)
+            full = as_floats(field(*state, P))
+            cons = as_floats(conservative(*state, P))
             scale = 1.0 + np.linalg.norm(grad) * np.linalg.norm(cons)
             assert abs(grad @ cons) <= 1e-10 * scale
             assert abs((grad @ full - grad @ cons) - hdot) <= 1e-9 * (1.0 + abs(hdot))
-
-    def test_report_bundles_consistently(self):
-        state = NeuronState(0.3, -1.2, 0.8, -0.4)
-        report = energy_report(state, CANON)
-        assert report.H == energy(state, CANON)
-        assert report.Hdot == energy_derivative(state, CANON)
-        np.testing.assert_array_equal(report.gradient, energy_gradient(state, CANON))
 
 
 class TestAlongTrajectories:

@@ -1,29 +1,37 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from hrsync.energy import energy_terms
 from hrsync.model import (
     ADAPTABLE_PARAMS,
+    SENSITIVITY,
     NeuronParams,
     NeuronState,
-    StateDerivative,
-    conservative_field,
-    dissipative_field,
-    param_sensitivity,
-    vector_field,
+    conservative,
+    field,
 )
 
 from oracles import as_floats, dissipative_exact, field_exact, fd_param_sensitivity
 
 CANON = NeuronParams.canonical(I=3.024)
-ORIGIN = NeuronState(0.0, 0.0, 0.0, 0.0)
+P = astuple(CANON)
+ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 
 def random_states(n, lo=-2.0, hi=2.0, seed=1234):
     rng = np.random.default_rng(seed)
-    return [NeuronState(*rng.uniform(lo, hi, 4)) for _ in range(n)]
+    return [tuple(rng.uniform(lo, hi, 4).tolist()) for _ in range(n)]
+
+
+def sensitivity(state, which):
+    """``d f / d which`` at ``state`` as a 4-vector, from its one nonzero entry."""
+    row, value = SENSITIVITY[which]
+    out = [0.0, 0.0, 0.0, 0.0]
+    out[row] = value(*state, P)
+    return tuple(out)
 
 
 class TestTypes:
@@ -36,7 +44,6 @@ class TestTypes:
 
     def test_canonical_current_is_a_knob(self):
         assert NeuronParams.canonical(I=0.85).I == 0.85
-        assert CANON.with_current(0.85).I == 0.85
 
     def test_params_reject_nonfinite(self):
         with pytest.raises(ValueError):
@@ -58,10 +65,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             NeuronState(0.0, 0.0, float("-inf"), 0.0)
 
-    def test_derivative_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            StateDerivative(0.0, float("nan"), 0.0, 0.0)
-
     def test_adaptable_set_excludes_p(self):
         assert "p" not in ADAPTABLE_PARAMS
         assert len(ADAPTABLE_PARAMS) == 16
@@ -70,26 +73,26 @@ class TestTypes:
 class TestVectorField:
     def test_at_origin(self):
         # dz = m*s*h and dw = n*r*l, both exact decimal products
-        d = vector_field(ORIGIN, CANON)
-        assert d.dx == pytest.approx(3.024, abs=0)
-        assert d.dy == pytest.approx(1.01, abs=0)
-        assert d.dz == pytest.approx(0.0136856745, rel=1e-15)
-        assert d.dw == pytest.approx(0.0043713, rel=1e-15)
+        dx, dy, dz, dw = field(*ORIGIN, P)
+        assert dx == pytest.approx(3.024, abs=0)
+        assert dy == pytest.approx(1.01, abs=0)
+        assert dz == pytest.approx(0.0136856745, rel=1e-15)
+        assert dw == pytest.approx(0.0043713, rel=1e-15)
 
     def test_null_field(self):
         # minimal parameter set with a valid m*s but h=0 so every term vanishes
         null = NeuronParams(a=1, b=0, c=0, d=0, xi=0, I=0, e=0, f=0, g=0,
                             m=1, s=1, h=0, n=0, k=0, r=0, l=0, p=-1)
-        assert vector_field(ORIGIN, null).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert field(*ORIGIN, astuple(null)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_matches_exact_arithmetic_at_ones(self):
-        got = vector_field(NeuronState(1, 1, 1, 1), CANON)
-        want = as_floats(field_exact(NeuronState(1, 1, 1, 1), CANON))
-        np.testing.assert_allclose(got.as_tuple(), want, rtol=1e-14)
+        got = field(1, 1, 1, 1, P)
+        want = as_floats(field_exact((1, 1, 1, 1), CANON))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_matches_exact_arithmetic_random(self):
         for state in random_states(25):
-            got = as_floats(vector_field(state, CANON).as_tuple())
+            got = as_floats(field(*state, P))
             want = as_floats(field_exact(state, CANON))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -97,40 +100,38 @@ class TestVectorField:
 class TestFieldSplit:
     def test_dissipative_at_origin_equals_full_field(self):
         # the conservative part is homogeneous in the state, so it vanishes here
-        assert dissipative_field(ORIGIN, CANON).as_tuple() == vector_field(ORIGIN, CANON).as_tuple()
+        assert energy_terms(*ORIGIN, P)[3] == field(*ORIGIN, P)
 
     def test_dissipative_second_component(self):
-        d = dissipative_field(NeuronState(0, 1, 0, 0), CANON)
-        assert d.dy == pytest.approx(0.01, rel=1e-12)
+        _, dy, _, _ = energy_terms(0, 1, 0, 0, P)[3]
+        assert dy == pytest.approx(0.01, rel=1e-12)
 
     def test_dissipative_matches_exact(self):
         for state in random_states(25, seed=77):
-            got = as_floats(dissipative_field(state, CANON).as_tuple())
+            got = as_floats(energy_terms(*state, P)[3])
             want = as_floats(dissipative_exact(state, CANON))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_conservative_at_origin(self):
-        assert conservative_field(ORIGIN, CANON).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert conservative(*ORIGIN, P) == (0.0, 0.0, 0.0, 0.0)
 
     def test_conservative_closed_form_at_unit_x(self):
-        d = conservative_field(NeuronState(1, 0, 0, 0), CANON)
-        assert d.as_tuple() == pytest.approx((0.0, -5.0128, 0.0085269, 0.0), rel=1e-15)
+        d = conservative(1, 0, 0, 0, P)
+        assert d == pytest.approx((0.0, -5.0128, 0.0085269, 0.0), rel=1e-15)
 
     def test_split_reassembles_field(self):
         # f = f_c + f_d up to float associativity, everywhere
         for state in random_states(100, lo=-5, hi=5, seed=9):
-            f = as_floats(vector_field(state, CANON).as_tuple())
-            fc = as_floats(conservative_field(state, CANON).as_tuple())
-            fd = as_floats(dissipative_field(state, CANON).as_tuple())
+            f = as_floats(field(*state, P))
+            fc = as_floats(conservative(*state, P))
+            fd = as_floats(energy_terms(*state, P)[3])
             np.testing.assert_allclose(f, fc + fd, rtol=1e-13, atol=1e-13)
 
     def test_difference_matches_conservative_closed_form(self):
         p = CANON
         for state in random_states(50, seed=31):
-            x, y, z, w = state.as_tuple()
-            diff = as_floats(vector_field(state, p).as_tuple()) - as_floats(
-                dissipative_field(state, p).as_tuple()
-            )
+            x, y, z, w = state
+            diff = as_floats(field(*state, P)) - as_floats(energy_terms(*state, P)[3])
             want = (p.a * y - p.d * z, -p.f * x * x - p.g * w, p.m * p.s * x, p.n * p.r * y)
             np.testing.assert_allclose(diff, want, rtol=1e-10, atol=1e-12)
 
@@ -138,32 +139,23 @@ class TestFieldSplit:
 class TestParamSensitivity:
     def test_current_sensitivity_is_xi(self):
         for state in random_states(5, seed=3):
-            assert param_sensitivity(state, CANON, "I").as_tuple() == (1.0, 0.0, 0.0, 0.0)
+            assert sensitivity(state, "I") == (1.0, 0.0, 0.0, 0.0)
 
     def test_b_sensitivity_is_x_squared(self):
-        got = param_sensitivity(NeuronState(2, 0.5, -1, 3), CANON, "b")
-        assert got.as_tuple() == (4.0, 0.0, 0.0, 0.0)
+        assert sensitivity((2, 0.5, -1, 3), "b") == (4.0, 0.0, 0.0, 0.0)
 
     def test_s_sensitivity_closed_form(self):
-        state = NeuronState(0.7, -0.2, 1.1, 0.4)
-        got = param_sensitivity(state, CANON, "s")
-        assert got.as_tuple() == pytest.approx(
+        state = (0.7, -0.2, 1.1, 0.4)
+        assert sensitivity(state, "s") == pytest.approx(
             (0.0, 0.0, CANON.m * (0.7 + CANON.h), 0.0), rel=1e-15
         )
-
-    def test_rejects_unknown_and_p(self):
-        state = ORIGIN
-        with pytest.raises(ValueError):
-            param_sensitivity(state, CANON, "p")
-        with pytest.raises(ValueError):
-            param_sensitivity(state, CANON, "bogus")
 
     def test_all_sensitivities_match_finite_differences(self):
         # central difference, parameter step 1e-6, on 100 random states
         states = random_states(100, seed=2024)
         for which in ADAPTABLE_PARAMS:
             for state in states:
-                got = as_floats(param_sensitivity(state, CANON, which).as_tuple())
+                got = as_floats(sensitivity(state, which))
                 want = fd_param_sensitivity(state, CANON, which)
                 np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
@@ -172,7 +164,7 @@ def test_canonical_attractor_stays_bounded():
     # trajectory from the origin never approaches the divergence guard
     from hrsync.sim import SimSpec, run_isolated
 
-    spec = SimSpec(dt=0.01, t_end=2000.0, record_every=200, initial_pre=ORIGIN)
+    spec = SimSpec(dt=0.01, t_end=2000.0, record_every=200, initial_pre=NeuronState(*ORIGIN))
     peak = float(np.abs(run_isolated(spec, CANON).pre).max())
     assert peak < 100.0
     assert math.isfinite(peak)

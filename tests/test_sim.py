@@ -6,15 +6,7 @@ import pytest
 
 from hrsync import sim
 from hrsync.energy import energy_terms
-from hrsync.model import (
-    ADAPTABLE_PARAMS,
-    PARAM_INDEX,
-    SENSITIVITY,
-    NeuronParams,
-    NeuronState,
-    field,
-    vector_field,
-)
+from hrsync.model import ADAPTABLE_PARAMS, PARAM_INDEX, NeuronParams, NeuronState, field
 from hrsync.sim import (
     AdaptationSpec,
     DivergenceError,
@@ -129,8 +121,8 @@ class TestCoupledDerivative:
         pre = (0.3, -1.0, 2.0, 0.5)
         post = (-0.2, 0.8, 1.0, -0.3)
         got = coupled_derivative(self.joint(pre, post, QUIET.I), config, 0.0)
-        want_pre = vector_field(NeuronState(*pre), CANON).as_tuple()
-        want_post = vector_field(NeuronState(*post), QUIET).as_tuple()
+        want_pre = field(*pre, astuple(CANON))
+        want_post = field(*post, astuple(QUIET))
         np.testing.assert_array_equal(got[:4], want_pre)
         np.testing.assert_array_equal(got[4:8], want_post)
         assert got[8] == 0.0
@@ -139,7 +131,7 @@ class TestCoupledDerivative:
         config = PairConfig(pre=CANON, post=CANON, K=7.5)
         state = (0.4, -0.6, 1.2, 0.1)
         got = coupled_derivative(self.joint(state, state, CANON.I), config, 0.0)
-        want = vector_field(NeuronState(*state), CANON).as_tuple()
+        want = field(*state, astuple(CANON))
         np.testing.assert_allclose(got[4:8], want, rtol=0, atol=0)
 
     def test_current_adaptation_specialization(self):
@@ -186,7 +178,7 @@ class TestCoupledDerivative:
         np.testing.assert_allclose(got[:4], want_pre, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got[4:8], want_post, rtol=1e-12, atol=1e-15)
 
-        sens = fd_param_sensitivity(pre, CANON, target)
+        sens = fd_param_sensitivity(pre.as_tuple(), CANON, target)
         err = np.subtract(post.as_tuple(), pre.as_tuple())
         assert got[8] == pytest.approx(-gain * float(sens @ err), rel=1e-6, abs=1e-9)
 
@@ -280,16 +272,12 @@ class TestRunPair:
         assert np.all(before.q > 0.0)
 
     def test_energy_uses_live_adapted_current(self):
-        from hrsync.energy import energy_derivative, energy_report
-
         run = run_pair(REFERENCE_SPEC, REFERENCE_CONFIG)
         i = index_at(run, 150.0)
-        post_state = NeuronState(*run.post[i].tolist())
-        live = QUIET.with_current(float(run.q[i]))
-        assert run.Hdot_post[i] == pytest.approx(
-            energy_derivative(post_state, live), rel=1e-12
-        )
-        stale = energy_report(post_state, QUIET).Hdot
+        post_state = run.post[i].tolist()
+        live = astuple(replace(QUIET, I=float(run.q[i])))
+        assert run.Hdot_post[i] == pytest.approx(energy_terms(*post_state, live)[1], rel=1e-12)
+        stale = energy_terms(*post_state, astuple(QUIET))[1]
         assert run.Hdot_post[i] != pytest.approx(stale, rel=1e-6)
 
 
@@ -392,29 +380,10 @@ def bits(values):
 
 class TestGeneratedKernels:
     """The straight-line steps and sample rows generated from the expression
-    tables equal, bit for bit, ``rk4_step`` over the per-point kernels."""
+    tables equal, bit for bit, ``rk4_step`` over the per-point kernels: the
+    pair's :func:`coupled_derivative` and the lone neuron's ``field``."""
 
     DT = 0.01
-
-    @staticmethod
-    def reference_pair_rhs(config, active):
-        P_pre = astuple(config.pre)
-        target = config.adaptation.target
-        i = PARAM_INDEX[target]
-        P_post = list(astuple(config.post))
-        row, sens = SENSITIVITY[target]
-        neg_gain = -config.adaptation.gain
-
-        def rhs(joint, t):
-            x1, y1, z1, w1, x2, y2, z2, w2, q = joint
-            P_post[i] = q
-            dx2, dy2, dz2, dw2 = field(x2, y2, z2, w2, P_post)
-            dq = 0.0
-            if active:
-                dq = neg_gain * sens(x1, y1, z1, w1, P_pre) * (joint[4 + row] - joint[row])
-            return (*field(x1, y1, z1, w1, P_pre), dx2 + config.K * (x1 - x2), dy2, dz2, dw2, dq)
-
-        return rhs
 
     @pytest.mark.parametrize("gain", [1.0, 2.7])
     @pytest.mark.parametrize("active", [False, True], ids=["idle", "active"])
@@ -422,11 +391,12 @@ class TestGeneratedKernels:
     def test_pair_step_and_row(self, target, active, gain):
         pre = replace(CANON, xi=1.3)
         post = replace(QUIET, **{target: 1.1 * getattr(QUIET, target)})
+        # idle: the law starts after the last of the 200 steps
+        start = 0.0 if active else 1000.0
         config = PairConfig(pre=pre, post=post, K=2.0,
-                            adaptation=AdaptationSpec(target=target, gain=gain))
+                            adaptation=AdaptationSpec(target=target, gain=gain, start_time=start))
         idle, adapting, row = _pair_kernels(config, self.DT)
         step = adapting if active else idle
-        rhs = self.reference_pair_rhs(config, active)
         P_pre, P_post = astuple(pre), list(astuple(post))
         state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
         ref = state
@@ -436,7 +406,8 @@ class TestGeneratedKernels:
             want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
                     *energy_terms(*state[4:8], P_post)[:2])
             assert bits(row(t, state)) == bits(want)
-            state, ref = step(state), rk4_step(rhs, ref, t, self.DT)
+            state = step(state)
+            ref = rk4_step(lambda s, t: coupled_derivative(s, config, t), ref, t, self.DT)
             assert bits(state) == bits(ref)
         assert (state[8] != getattr(post, target)) == active
 

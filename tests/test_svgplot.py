@@ -1,0 +1,32 @@
+import math
+import tracemalloc
+from array import array
+
+import pytest
+
+from hrsync.svgplot import _MAX_POINTS_PER_SERIES, Panel, _decimate, write_chart
+
+
+@pytest.mark.parametrize("n", [1, 2, 3999, 4000, 4001, 7999, 8000, 8001, 12345])
+def test_decimation_keeps_every_stride_th_point_and_the_last(n):
+    stride = max(1, math.ceil(n / _MAX_POINTS_PER_SERIES))
+    keep = list(range(0, n, stride))
+    if keep[-1] != n - 1:
+        keep.append(n - 1)
+    xs = array("d", range(n))
+    ys = array("d", (-v for v in range(n)))
+    kept_x, kept_y = _decimate(xs, ys)
+    assert list(kept_x) == keep and list(kept_y) == [-i for i in keep]
+
+
+def test_write_chart_keeps_no_copy_of_a_long_series(tmp_path):
+    n = 200_000
+    xs = array("d", range(n))
+    ys = array("d", (math.sin(1e-3 * i) for i in range(n)))
+    tracemalloc.start()
+    try:
+        write_chart(tmp_path / "chart.svg", [Panel("sine", "t", "y").add("y", xs, ys)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xs.itemsize * n, peak
