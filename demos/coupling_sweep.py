@@ -41,5 +41,6 @@ panel.add("before adaptation", [s.K for s in summaries],
           [s.pre_adapt_avg_Hdot for s in summaries])
 panel.add("after adaptation", [s.K for s in summaries],
           [s.post_adapt_avg_Hdot for s in summaries])
-write_chart(out_dir / "coupling_sweep.svg", [panel])
+with open(out_dir / "coupling_sweep.svg", "w", encoding="utf-8", newline="\n") as handle:
+    write_chart(handle, [panel])
 print(f"wrote {out_dir}/coupling_sweep.svg")

@@ -65,15 +65,17 @@ print(f"  5-unit averaged energy deriv.: {window_mean(adapted_hdot2, 2000, 3000)
 print(f"  full-state sync error (RMS)  : {sync_rms(adapted, 2990, 3000):8.4f}  (t in [2990, 3000])")
 print(f"adapted current: 0.85 -> {adapted.q[-1]:.4f} (sender at 3.024)")
 
-write_chart(
-    out_dir / "forced_sync_adaptation.svg",
-    [
-        Panel("receiving-neuron energy derivative, 5-unit average, no adaptation", "t", "Hdot2")
-        .add("avgHdot2", forced_hdot2.times, forced_hdot2.values),
-        Panel("receiving-neuron energy derivative, 5-unit average, adaptation from t=100",
-              "t", "Hdot2")
-        .add("avgHdot2", adapted_hdot2.times, adapted_hdot2.values),
-        Panel("adapted external current", "t", "I2").add("I2", adapted.t, adapted.q),
-    ],
-)
+with open(out_dir / "forced_sync_adaptation.svg", "w", encoding="utf-8", newline="\n") as handle:
+    write_chart(
+        handle,
+        [
+            Panel("receiving-neuron energy derivative, 5-unit average, no adaptation",
+                  "t", "Hdot2")
+            .add("avgHdot2", forced_hdot2.times, forced_hdot2.values),
+            Panel("receiving-neuron energy derivative, 5-unit average, adaptation from t=100",
+                  "t", "Hdot2")
+            .add("avgHdot2", adapted_hdot2.times, adapted_hdot2.values),
+            Panel("adapted external current", "t", "I2").add("I2", adapted.t, adapted.q),
+        ],
+    )
 print(f"wrote {out_dir}/forced_sync_adaptation.svg")

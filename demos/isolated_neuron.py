@@ -31,14 +31,15 @@ trace = run_isolated(SimSpec(dt=0.01, t_end=700.0, record_every=2,
                              transient=500.0), params)
 t, state = trace.t, trace.pre
 
-write_chart(
-    out_dir / "isolated_traces.svg",
-    [
-        Panel("membrane potential", "t", "x").add("x", t, state[:, 0]),
-        Panel("energy", "t", "H").add("H", t, trace.H_pre),
-        Panel("energy derivative", "t", "Hdot").add("Hdot", t, trace.Hdot_pre),
-    ],
-)
+with open(out_dir / "isolated_traces.svg", "w", encoding="utf-8", newline="\n") as handle:
+    write_chart(
+        handle,
+        [
+            Panel("membrane potential", "t", "x").add("x", t, state[:, 0]),
+            Panel("energy", "t", "H").add("H", t, trace.H_pre),
+            Panel("energy derivative", "t", "Hdot").add("Hdot", t, trace.Hdot_pre),
+        ],
+    )
 
 # 2D projections of the four-dimensional attractor
 for columns in ("xyz", "xyw", "xzw"):

@@ -21,8 +21,8 @@ byte-identical across repeated invocations of the same configuration on a
 given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
 ``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
 bytes hold for a given libm build; sums run left to right, so they do not
-depend on the Python version. Rows stream to ``<out>.part`` as the run goes,
-renamed to ``<out>`` on success and deleted on failure.
+depend on the Python version. Every file, SVG included, is written as
+``<path>.part``, renamed into place if the command succeeds, else deleted.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
 4 I/O error.
@@ -35,10 +35,10 @@ import math
 import os
 import sys
 from array import array
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from contextlib import ExitStack
+from dataclasses import astuple, dataclass, field, fields as dc_fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import TextIO, get_type_hints
 
 import numpy as np
 
@@ -212,24 +212,40 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+class _Outputs(ExitStack):
+    """The files of one command: ``parts`` maps each path, in the order
+    opened, to the ``<path>.part`` its handle writes. A normal exit renames
+    every part into place in that order; any failure, a failed rename
+    included, deletes every part not yet renamed."""
 
+    def __init__(self):
+        super().__init__()
+        self.parts: dict[Path, Path] = {}
 
-@contextmanager
-def _staged(path: Path, header: str):
-    """A text handle on ``<path>.part`` that starts with the ``header`` line.
-    On success the file replaces ``path``; on any failure it is deleted, so
-    a failed run leaves ``path`` as it was."""
-    part = path.with_name(path.name + ".part")
-    try:
-        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+    def open(self, path: Path, header: str | None = None) -> TextIO:
+        """A handle on ``path``'s part, starting with the ``header`` line."""
+        if path in self.parts:
+            raise ConfigError(f"two outputs of the command share the path {str(path)!r}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {str(path)!r} is a directory")
+        part = path.with_name(path.name + ".part")
+        handle = self.enter_context(open(part, "w", encoding="utf-8", newline="\n"))
+        self.parts[path] = part
+        if header is not None:
             handle.write(header + "\n")
-            yield handle
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+        return handle
+
+    def __exit__(self, *exc_info) -> None:
+        renamed = 0
+        try:
+            super().__exit__(*exc_info)  # closes every handle
+            if exc_info[0] is None:
+                for path, part in self.parts.items():
+                    os.replace(part, path)
+                    renamed += 1
+        finally:
+            for part in list(self.parts.values())[renamed:]:
+                part.unlink(missing_ok=True)
 
 
 class _ColumnWriter(Sink):
@@ -294,52 +310,42 @@ class _PairWriter(Sink):
             )
 
 
-def cmd_isolated(cfg: RunConfig) -> list[Path]:
+def cmd_isolated(cfg: RunConfig, outputs: _Outputs) -> None:
     spec = cfg.sim_spec()
     params = _neuron_params(cfg.i1, cfg.pre_overrides)
     out = Path(cfg.out or "isolated.csv")
-    files = [(out, "t,x,y,z,w,H,Hdot", range(7))]
+    handles = [(outputs.open(out, "t,x,y,z,w,H,Hdot"), range(7))]
     if cfg.plot:
+        # opened before the run, as in ``pair``, so that a bad chart path fails early
+        chart = outputs.open(out.with_suffix(".svg"))
         # attractor projections as flat data files, not rendered 3D
-        files += [
-            (out.with_name(f"{out.stem}_proj_{columns}.csv"), ",".join(columns),
+        handles += [
+            (outputs.open(out.with_name(f"{out.stem}_proj_{columns}.csv"), ",".join(columns)),
              [1 + "xyzw".index(c) for c in columns])
             for columns in ("xyz", "xyw", "xzw")
         ]
-    with ExitStack() as stack:
-        handles = [(stack.enter_context(_staged(path, header)), picks)
-                   for path, header, picks in files]
-        writer = _ColumnWriter(handles, kept=(0, 1, 5, 6) if cfg.plot else ())
-        run_isolated(spec, params, writer)
-    written = [path for path, _, _ in files]
+    kept = (0, 1, 5, 6) if cfg.plot else ()
+    writer = run_isolated(spec, params, _ColumnWriter(handles, kept))
 
     if cfg.plot:
         t, x, H, Hdot = writer.kept.values()
-        chart = out.with_suffix(".svg")
-        write_chart(
-            chart,
-            [
-                Panel("action potential", "t", "x").add("x", t, x),
-                Panel("energy", "t", "H").add("H", t, H),
-                Panel("energy derivative", "t", "Hdot").add("Hdot", t, Hdot),
-            ],
-        )
-        written.insert(1, chart)
-
-    return written
+        write_chart(chart, [
+            Panel("action potential", "t", "x").add("x", t, x),
+            Panel("energy", "t", "H").add("H", t, H),
+            Panel("energy derivative", "t", "Hdot").add("Hdot", t, Hdot),
+        ])
 
 
-def cmd_pair(cfg: RunConfig) -> list[Path]:
+def cmd_pair(cfg: RunConfig, outputs: _Outputs) -> None:
     spec, config = cfg.sim_spec(), cfg.pair_config()
     out = Path(cfg.out or "pair.csv")
     header = "t,x1,y1,z1,w1,x2,y2,z2,w2,I2,e_norm,H1,Hdot1,H2,Hdot2,avgH2_w10,avgHdot2_w5"
-    with _staged(out, header) as handle:
-        writer = run_pair(spec, config, _PairWriter(handle, spec, cfg.plot))
-    written = [out]
+    handle = outputs.open(out, header)
+    chart = outputs.open(out.with_suffix(".svg")) if cfg.plot else None
+    writer = run_pair(spec, config, _PairWriter(handle, spec, cfg.plot))
 
     if cfg.plot:
         (t, q), *averages = writer.plotted
-        chart = out.with_suffix(".svg")
         panels = [
             Panel(title, "t", ylabel).add(label, times, values)
             for (title, ylabel, label), (times, values) in zip(
@@ -354,56 +360,36 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
         ]
         panels.append(Panel("adapted external current", "t", "I2").add("I2", t, q))
         write_chart(chart, panels)
-        written.append(chart)
-
-    return written
 
 
-def cmd_sweep(cfg: RunConfig) -> list[Path]:
+def cmd_sweep(cfg: RunConfig, outputs: _Outputs) -> None:
+    spec, config = cfg.sim_spec(), cfg.pair_config()
+    if not 0 < cfg.adapt_at < cfg.t_end:
+        raise ConfigError(f"sweep needs 0 < adapt_at < t_end, got adapt_at = {cfg.adapt_at:g}"
+                          f" and t_end = {cfg.t_end:g}")
     # windows: the second half of the run before the switch, and of the rest
     summaries = sweep_K(
         cfg.k_list,
-        cfg.sim_spec(),
-        cfg.pair_config(),
+        spec,
+        config,
         pre_window=(cfg.adapt_at / 2, cfg.adapt_at),
         post_window=((cfg.t_end + cfg.adapt_at) / 2, cfg.t_end),
     )
     out = Path(cfg.out or "sweep.csv")
+    handle = outputs.open(out, "K,preH,preHdot,postH,postHdot,preSync,postSync")
+    for s in summaries:
+        # the fields but ``error`` are the columns, in order
+        cells = [repr(float(v)) for v in astuple(s)[:-1]]
+        if s.error is not None:
+            cells[1:] = [DIVERGENCE_MARKER] + [""] * (len(cells) - 2)
+        handle.write(",".join(cells) + "\n")
 
-    def rows():
-        for s in summaries:
-            if s.error is not None:
-                yield (_fmt(s.K), DIVERGENCE_MARKER, "", "", "", "", "")
-            else:
-                yield (
-                    _fmt(s.K),
-                    _fmt(s.pre_adapt_avg_H),
-                    _fmt(s.pre_adapt_avg_Hdot),
-                    _fmt(s.post_adapt_avg_H),
-                    _fmt(s.post_adapt_avg_Hdot),
-                    _fmt(s.pre_adapt_sync_rms),
-                    _fmt(s.post_adapt_sync_rms),
-                )
-
-    with _staged(out, "K,preH,preHdot,postH,postHdot,preSync,postSync") as handle:
-        handle.writelines(",".join(row) + "\n" for row in rows())
-    written = [out]
-
-    if cfg.plot:
-        good = [s for s in summaries if s.error is None]
-        if good:
-            chart = out.with_suffix(".svg")
-            panel = Panel(
-                "receiving-neuron average energy derivative vs coupling",
-                "K",
-                "mean Hdot",
-            )
-            panel.add("before adaptation", [s.K for s in good], [s.pre_adapt_avg_Hdot for s in good])
-            panel.add("after adaptation", [s.K for s in good], [s.post_adapt_avg_Hdot for s in good])
-            write_chart(chart, [panel])
-            written.append(chart)
-
-    return written
+    good = [s for s in summaries if s.error is None]
+    if cfg.plot and good:
+        panel = Panel("receiving-neuron average energy derivative vs coupling", "K", "mean Hdot")
+        panel.add("before adaptation", [s.K for s in good], [s.pre_adapt_avg_Hdot for s in good])
+        panel.add("after adaptation", [s.K for s in good], [s.post_adapt_avg_Hdot for s in good])
+        write_chart(outputs.open(out.with_suffix(".svg")), [panel])
 
 
 #: ``(flag, config key, help)`` per group of subcommands. A flag stores its
@@ -460,7 +446,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in args.func(resolve_config(args)):
+        with _Outputs() as outputs:
+            args.func(resolve_config(args), outputs)
+        for path in outputs.parts:
             print(f"wrote {path}")
         return EXIT_OK
     except ConfigError as exc:

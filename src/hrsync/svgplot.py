@@ -3,19 +3,22 @@
 Just enough to eyeball simulation output: stacked panels, auto-scaled axes,
 tick labels, and a legend when a panel holds more than one series. Long
 series are decimated to keep files small; decimation is deterministic, so
-repeated runs emit identical bytes.
+repeated runs emit identical bytes. The module does no file I/O:
+``write_chart`` writes to a text handle that its caller opens and closes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TextIO
 
 __all__ = ["Panel", "write_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 _MAX_POINTS_PER_SERIES = 4000
+#: chart width and the height of each stacked panel, in SVG user units
+WIDTH, PANEL_HEIGHT = 900, 260
 
 
 @dataclass
@@ -82,32 +85,26 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.4g}"
 
 
-def write_chart(
-    path,
-    panels: Sequence[Panel],
-    *,
-    width: int = 900,
-    panel_height: int = 260,
-) -> None:
-    """Write stacked line-chart panels to ``path`` as a single SVG file."""
+def write_chart(handle: TextIO, panels: Sequence[Panel]) -> None:
+    """Write stacked line-chart panels to the text ``handle`` as one SVG document."""
     if not panels:
         raise ValueError("need at least one panel")
     margin_left, margin_right = 72, 24
     margin_top, margin_bottom = 34, 44
-    total_height = panel_height * len(panels)
-    plot_w = width - margin_left - margin_right
+    total_height = PANEL_HEIGHT * len(panels)
+    plot_w = WIDTH - margin_left - margin_right
 
     out: list[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total_height}" viewBox="0 0 {width} {total_height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{total_height}" viewBox="0 0 {WIDTH} {total_height}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 
     for index, panel in enumerate(panels):
         if not panel.series:
             raise ValueError(f"panel {index} has no series")
-        top = index * panel_height + margin_top
-        bottom = (index + 1) * panel_height - margin_bottom
+        top = index * PANEL_HEIGHT + margin_top
+        bottom = (index + 1) * PANEL_HEIGHT - margin_bottom
         plot_h = bottom - top
 
         data = [_decimate(xs, ys) for _, xs, ys in panel.series]
@@ -201,5 +198,4 @@ def write_chart(
                 )
 
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(out) + "\n")
+    handle.write("\n".join(out) + "\n")

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hrsync import analysis, sim
+from hrsync import analysis, cli, sim
 from hrsync.analysis import sweep_K
 from hrsync.cli import RunConfig, build_parser, main, resolve_config
 from hrsync.model import NeuronParams
@@ -220,6 +221,16 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--t-end", "20"], ["--t-end", "100"], ["--adapt-at", "0"],
+                                      ["--no-adapt", "--adapt-at", "nan"]], ids=" ".join)
+    def test_windows_outside_the_run_name_both_settings(self, tmp_path, capsys, argv):
+        code = main(["sweep", *argv, "--K-list", "1", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "adapt_at" in err and "t_end" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_empty_k_list_exits_2(self, tmp_path):
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -267,6 +278,76 @@ class TestSweep:
         want = (s.K, s.pre_adapt_avg_H, s.pre_adapt_avg_Hdot, s.post_adapt_avg_H,
                 s.post_adapt_avg_Hdot, s.pre_adapt_sync_rms, s.post_adapt_sync_rms)
         assert read_lines(out)[1] == ",".join(repr(v) for v in want)
+
+
+#: short plotting runs, and every file each writes with ``--out x.csv``, in
+#: the order of its ``wrote`` lines
+PLOT_RUNS = {
+    "isolated": (["isolated", "--t-end", "2"],
+                 ["x.csv", "x.svg", "x_proj_xyz.csv", "x_proj_xyw.csv", "x_proj_xzw.csv"]),
+    "pair": (["pair", "--t-end", "2"], ["x.csv", "x.svg"]),
+    "sweep": (["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "1"], ["x.csv", "x.svg"]),
+}
+
+
+class TestOutputSet:
+    """A command's files, SVG included, appear together or not at all."""
+
+    @pytest.mark.parametrize("command", list(PLOT_RUNS))
+    def test_every_file_is_written_and_reported_in_order(self, tmp_path, capsys, command):
+        argv, names = PLOT_RUNS[command]
+        assert main([*argv, "--plot", "--out", str(tmp_path / "x.csv")]) == 0
+        wrote = capsys.readouterr().out.splitlines()
+        assert wrote == [f"wrote {tmp_path / name}" for name in names]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("error, code", [(OSError("disk full"), 4), (ValueError("no data"), 2)],
+                             ids=["OSError", "ValueError"])
+    @pytest.mark.parametrize("command", list(PLOT_RUNS))
+    def test_failed_chart_leaves_every_earlier_file(self, tmp_path, monkeypatch, command,
+                                                    error, code):
+        argv, names = PLOT_RUNS[command]
+        earlier = {name: f"earlier {name}\n".encode() for name in names}
+        for name, body in earlier.items():
+            (tmp_path / name).write_bytes(body)
+
+        def fail(handle, panels):
+            raise error
+
+        monkeypatch.setattr(cli, "write_chart", fail)
+        assert main([*argv, "--plot", "--out", str(tmp_path / "x.csv")]) == code
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier
+
+    @pytest.mark.parametrize("command", list(PLOT_RUNS))
+    def test_chart_path_that_is_a_directory_exits_4(self, tmp_path, capsys, command):
+        argv, _ = PLOT_RUNS[command]
+        (tmp_path / "x.csv").write_bytes(b"earlier result\n")
+        (tmp_path / "x.svg").mkdir()
+        assert main([*argv, "--plot", "--out", str(tmp_path / "x.csv")]) == 4
+        assert "is a directory" in capsys.readouterr().err
+        assert (tmp_path / "x.csv").read_bytes() == b"earlier result\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.csv", "x.svg"]
+        assert list((tmp_path / "x.svg").iterdir()) == []
+
+    def test_failed_rename_exits_4_and_leaves_no_part(self, tmp_path, monkeypatch):
+        # the CSV is renamed first; the chart's rename fails
+        replace = cli.os.replace
+
+        def replace_all_but_charts(part, path):
+            if path.suffix == ".svg":
+                raise PermissionError(f"cannot replace {path}")
+            replace(part, path)
+
+        monkeypatch.setattr(cli.os, "replace", replace_all_but_charts)
+        assert main(["pair", "--t-end", "2", "--plot", "--out", str(tmp_path / "x.csv")]) == 4
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.csv"]
+
+    @pytest.mark.parametrize("command", list(PLOT_RUNS))
+    def test_output_that_is_also_the_chart_exits_2(self, tmp_path, capsys, command):
+        argv, _ = PLOT_RUNS[command]
+        assert main([*argv, "--plot", "--out", str(tmp_path / "x.svg")]) == 2
+        assert "share the path" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -419,6 +500,28 @@ def pinned_digest(tmp_path, name):
 @pytest.mark.parametrize("name", list(PINNED_SHA256))
 def test_output_bytes_are_pinned(tmp_path, name):
     assert pinned_digest(tmp_path, name) == PINNED_SHA256[name][2]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("pair_default", 0), ("pair_generic", 0), ("isolated_long", 0), ("sweep5", 0),
+    ("pair_default", 7), ("pair_generic", 7), ("sweep5", 7),
+], ids=lambda value: str(value))
+def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed):
+    # every output of a benchmark run, SVG included, against its recorded sha256
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    workload = WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(workload.config_text(seed), encoding="utf-8")
+    assert main(workload.argv("run.cfg")) == 0
+    digests = {output: hashlib.sha256(Path(output).read_bytes()).hexdigest()
+               for output in workload.outputs}
+    assert digests == golden[name][str(seed)]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 499, 500, 999, 1000, 1001])

@@ -393,23 +393,26 @@ class TestGeneratedKernels:
         post = replace(QUIET, **{target: 1.1 * getattr(QUIET, target)})
         # idle: the law starts after the last of the 200 steps
         start = 0.0 if active else 1000.0
-        config = PairConfig(pre=pre, post=post, K=2.0,
-                            adaptation=AdaptationSpec(target=target, gain=gain, start_time=start))
-        idle, adapting, row = _pair_kernels(config, self.DT)
-        step = adapting if active else idle
-        P_pre, P_post = astuple(pre), list(astuple(post))
-        state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
-        ref = state
-        for i in range(200):
-            t = i * self.DT
-            P_post[PARAM_INDEX[target]] = state[8]
-            want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
-                    *energy_terms(*state[4:8], P_post)[:2])
-            assert bits(row(t, state)) == bits(want)
-            state = step(state)
-            ref = rk4_step(lambda s, t: coupled_derivative(s, config, t), ref, t, self.DT)
-            assert bits(state) == bits(ref)
-        assert (state[8] != getattr(post, target)) == active
+        # 2.7 rounds in K*(x1 - x2), so a regrouped coupling term shows; 2.0 does not
+        for K in (2.0, 2.7):
+            config = PairConfig(pre=pre, post=post, K=K,
+                                adaptation=AdaptationSpec(target=target, gain=gain,
+                                                          start_time=start))
+            idle, adapting, row = _pair_kernels(config, self.DT)
+            step = adapting if active else idle
+            P_pre, P_post = astuple(pre), list(astuple(post))
+            state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
+            ref = state
+            for i in range(200):
+                t = i * self.DT
+                P_post[PARAM_INDEX[target]] = state[8]
+                want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
+                        *energy_terms(*state[4:8], P_post)[:2])
+                assert bits(row(t, state)) == bits(want), K
+                state = step(state)
+                ref = rk4_step(lambda s, t: coupled_derivative(s, config, t), ref, t, self.DT)
+                assert bits(state) == bits(ref), K
+            assert (state[8] != getattr(post, target)) == active
 
     def test_lone_step_and_row(self):
         params = replace(CANON, xi=1.3)
@@ -432,3 +435,46 @@ class TestGeneratedKernels:
         for kernel in kernels:
             for value in (0.987654321, 2.345678, 2.7, -2.7, 0.0123, QUIET.f, QUIET.I):
                 assert repr(value) not in kernel.source
+
+
+class TestIndependentIntegrator:
+    """RK4 runs against scipy's DOP853 at tight tolerances, an integrator
+    that shares no code with ``sim``: the gap at t = 5 is RK4's error, so it
+    is small and shrinks about 16-fold when ``dt`` is halved."""
+
+    T_END = 5.0
+
+    @staticmethod
+    def reference(rhs, start, t_end):
+        integrate = pytest.importorskip("scipy.integrate")
+        solution = integrate.solve_ivp(rhs, (0.0, t_end), start, method="DOP853",
+                                       rtol=1e-12, atol=1e-12)
+        assert solution.success
+        return solution.y[:, -1]
+
+    def check(self, run, reference):
+        gaps = [np.max(np.abs(run(dt) - reference)) for dt in (0.01, 0.005)]
+        assert gaps[0] < 2e-6, gaps
+        assert gaps[0] > 12 * gaps[1], gaps
+
+    def test_pair_with_adaptation(self):
+        config = PairConfig(pre=CANON, post=QUIET, K=5.0, adaptation=AdaptationSpec(start_time=0.0))
+        spec = SimSpec(t_end=self.T_END)
+        start = [*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), QUIET.I]
+
+        def run(dt):
+            last = run_pair(replace(spec, dt=dt), config)
+            return np.array([*last.pre[-1], *last.post[-1], last.q[-1]])
+
+        self.check(run, self.reference(lambda t, s: coupled_derivative(s, config, t),
+                                       start, self.T_END))
+
+    def test_lone_neuron(self):
+        spec = SimSpec(t_end=self.T_END)
+        P = astuple(CANON)
+
+        def run(dt):
+            return run_isolated(replace(spec, dt=dt), CANON).pre[-1]
+
+        self.check(run, self.reference(lambda t, s: field(*s, P),
+                                       list(spec.initial_pre.as_tuple()), self.T_END))

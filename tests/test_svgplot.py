@@ -23,10 +23,11 @@ def test_write_chart_keeps_no_copy_of_a_long_series(tmp_path):
     n = 200_000
     xs = array("d", range(n))
     ys = array("d", (math.sin(1e-3 * i) for i in range(n)))
-    tracemalloc.start()
-    try:
-        write_chart(tmp_path / "chart.svg", [Panel("sine", "t", "y").add("y", xs, ys)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with open(tmp_path / "chart.svg", "w", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            write_chart(handle, [Panel("sine", "t", "y").add("y", xs, ys)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < xs.itemsize * n, peak
