@@ -36,6 +36,10 @@ time, so a caller that formats or reduces each block holds no more than one
 block of the run. Without a sink, a :class:`Collector` keeps every row and
 the run returns a columnar :class:`Trajectory`. Runs are deterministic:
 identical specs and configs produce bit-identical rows on a given build.
+On two or more cores, a run of several blocks with a sink other than a
+:class:`Collector` integrates in a forked child while the caller's sink
+formats the blocks (:func:`_stream`); the rows and errors are the same as
+in process.
 """
 
 from __future__ import annotations
@@ -81,6 +85,11 @@ DIVERGENCE_BOUND = 100.0
 #: reduces each block holds no more than this many rows of the run.
 BLOCK_ROWS = 4096
 
+#: Capacity asked for the pipe from an integrating child: 1 MiB, Linux's
+#: default limit, holds a few blocks. The default 64 KiB holds less than a
+#: block, and the two processes then mostly take turns.
+PIPE_BYTES = 1 << 20
+
 
 class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the boundedness guard or turns non-finite."""
@@ -88,6 +97,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, message: str | None = None):
         self.t = t
         super().__init__(message or f"trajectory diverged at t={t:g}")
+
+    def __reduce__(self):
+        return type(self), (self.t, str(self))
 
 
 @dataclass(frozen=True)
@@ -234,6 +246,8 @@ class Sink:
     ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
     ``len()`` is the number of rows handed over so far. A run that stops
     with :class:`DivergenceError` does not hand over its last partial block.
+    :meth:`put` is called in the caller's process, and when the run
+    integrates in a forked child, its blocks are read-only.
     """
 
     rows = 0
@@ -424,6 +438,13 @@ def _inside_kernel(n: int, guarded: int):
     return compile_kernel("inside", "S", [(", ".join(v), "S")], " and ".join(tests), env)
 
 
+def _hand(sink: Sink, block, width: int) -> None:
+    """Hand ``sink`` the rows of a flat buffer of ``width``-float rows."""
+    rows = np.frombuffer(block, dtype=float).reshape(-1, width)
+    sink.rows += len(rows)
+    sink.put(rows)
+
+
 def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
                guarded: int, row, width: int, sink: Sink, signed: str | None = None) -> None:
     """RK4 from t=0 to ``spec.t_end``, handing the recorded rows to ``sink``.
@@ -446,11 +467,6 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
     # step index of the last row of the current block
     flush_at = first + (per_block - 1) * rec
 
-    def hand(block):
-        rows = np.frombuffer(block, dtype=float).reshape(-1, width)
-        sink.rows += len(rows)
-        sink.put(rows)
-
     block = array("d")
     put = block.extend
     n_steps = spec.n_steps
@@ -461,7 +477,7 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
         if i >= first and i % rec == 0:
             put(row(t, state))
             if i == flush_at:
-                hand(block)
+                _hand(sink, block, width)
                 block = array("d")
                 put = block.extend
                 flush_at += per_block * rec
@@ -483,7 +499,72 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
                 f" t={(i + 1) * dt:g}; the energy divides by a and m*s",
             )
     if block:
-        hand(block)
+        _hand(sink, block, width)
+
+
+def _stream(spec: SimSpec, sink: Sink, width: int, integrate) -> None:
+    """Call ``integrate(sink)``, in a forked child when that can overlap.
+
+    A run of one block has nothing to overlap, a :class:`Collector` gains
+    nothing from a second process and a pool worker forks no second level,
+    so those, and hosts with one core or without ``os.fork``, integrate in
+    process. Otherwise a forked child integrates into a relay sink that
+    writes each block's bytes to a pipe, whose capacity bounds how far it
+    runs ahead, and this process hands the blocks to ``sink`` in order. The
+    child then sends the exception that stopped its run, or None, and this
+    process raises it.
+    """
+    import multiprocessing
+    import os
+
+    if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
+            or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")
+            or multiprocessing.parent_process() is not None):
+        integrate(sink)
+        return
+    import fcntl
+    import signal
+
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    try:
+        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass  # not Linux, or above the host's limit: slower, still correct
+    pid = os.fork()
+    if pid == 0:
+        # the child must never return or raise into the caller's frames:
+        # they would stage, rename or delete the caller's output files
+        code = 1
+        try:
+            reader.close()
+            relay = Sink()
+            relay.put = writer.send_bytes
+            try:
+                integrate(relay)
+                outcome = None
+            except BaseException as exc:  # re-raised by the parent
+                outcome = exc
+            writer.send_bytes(b"")
+            writer.send(outcome)
+            code = 0
+        finally:
+            os._exit(code)
+    writer.close()
+    try:
+        while block := reader.recv_bytes():
+            _hand(sink, block, width)
+            del block  # not held while the next one is received
+        outcome = reader.recv()
+    except EOFError:
+        raise ChildProcessError("the integrating process ended before its run did") from None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # it may have much of its run left
+        raise
+    finally:
+        reader.close()
+        os.waitpid(pid, 0)
+    if outcome is not None:
+        raise outcome
 
 
 def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
@@ -502,7 +583,8 @@ def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
     idle, active, row = _pair_kernels(config, spec.dt)
     signed = target if target in POLE_PARAMS else None
     rows = Collector() if sink is None else sink
-    _integrate(spec, joint, idle, active, start, 8, row, 14, rows, signed)
+    _stream(spec, rows, 14, lambda to: _integrate(spec, joint, idle, active, start, 8, row, 14,
+                                                  to, signed))
     return Trajectory.of_pair_rows(rows.table(14)) if sink is None else sink
 
 
@@ -516,7 +598,8 @@ def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
     step, row = _lone_kernels(params, spec.dt)
     start = spec.initial_pre.as_tuple()
     rows = Collector() if sink is None else sink
-    _integrate(spec, start, step, step, math.inf, 4, row, 7, rows)
+    _stream(spec, rows, 7, lambda to: _integrate(spec, start, step, step, math.inf, 4, row, 7,
+                                                 to))
     if sink is not None:
         return sink
     table = rows.table(7)

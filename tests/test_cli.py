@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -350,6 +351,75 @@ class TestOutputSet:
         assert sorted(tmp_path.iterdir()) == []
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+POLE_LINES = "adapt_target = m\npost.m = 0.0005\nadapt_at = 0\n"  # diverges at t = 0.38
+
+
+class TestIntegratingChild:
+    """On two cores ``isolated`` and ``pair`` integrate in a forked child. It
+    never runs the caller's code, and no exit path of ``main`` leaves it
+    behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+
+    @pytest.mark.parametrize("command", ["isolated", "pair"])
+    def test_success_reports_each_file_once(self, tmp_path, capfd, command):
+        # capfd sees the child's writes to the inherited descriptors too
+        argv, names = PLOT_RUNS[command]
+        assert main([*argv, "--plot", "--out", str(tmp_path / "x.csv")]) == 0
+        assert_no_child_left()
+        assert capfd.readouterr() == (
+            "".join(f"wrote {tmp_path / name}\n" for name in names), "")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+
+    def test_divergence_exits_3_as_in_process(self, tmp_path, monkeypatch, capfd):
+        (tmp_path / "run.cfg").write_text(POLE_LINES, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier result\n")
+        argv = ["pair", "--t-end", "50", "--plot", "--config", str(tmp_path / "run.cfg"),
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert_no_child_left()
+        overlapped = capfd.readouterr()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv) == 3
+        assert capfd.readouterr() == overlapped
+        assert overlapped.out == "" and "'m' reached zero" in overlapped.err
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "x.csv"]
+
+    @pytest.mark.parametrize("error, code", [
+        (OSError("disk full"), 4), (ValueError("bad row"), 2), (KeyboardInterrupt(), None),
+    ], ids=["OSError", "ValueError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("command", ["isolated", "pair"])
+    def test_failing_writer_leaves_no_child(self, tmp_path, monkeypatch, command, error, code):
+        # fails at the sixth of 2000 blocks, while the child still integrates
+        writer = {"isolated": cli._ColumnWriter, "pair": cli._PairWriter}[command]
+        put = writer.put
+
+        def put_then_fail(self, block):
+            if self.rows > 50:
+                raise error
+            put(self, block)
+
+        monkeypatch.setattr(writer, "put", put_then_fail)
+        argv = [command, "--t-end", "200", "--out", str(tmp_path / "x.csv")]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_drives_run(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -505,12 +575,28 @@ def test_output_bytes_are_pinned(tmp_path, name):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("name, seed", [
-    ("pair_default", 0), ("pair_generic", 0), ("isolated_long", 0), ("sweep5", 0),
-    ("pair_default", 7), ("pair_generic", 7), ("sweep5", 7),
-], ids=lambda value: str(value))
-def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed):
+CORES = {1: "one-core", 2: "two-cores"}
+
+
+def on_cores(cases, usual):
+    """Each case on one core, where a run integrates in process, and on two,
+    where it integrates in a forked child. The ``usual`` count keeps the
+    case's own id; the other count's name is appended to it."""
+    return [
+        pytest.param(*values, cores, id=case if cores == usual else f"{case}-{CORES[cores]}")
+        for case, values in cases.items()
+        for cores in (usual, 3 - usual)
+    ]
+
+
+@pytest.mark.parametrize("name, seed, cores", on_cores({
+    f"{name}-{seed}": (name, seed)
+    for name, seed in [("pair_default", 0), ("pair_generic", 0), ("isolated_long", 0),
+                       ("sweep5", 0), ("pair_default", 7), ("pair_generic", 7), ("sweep5", 7)]
+}, usual=2))
+def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed, cores):
     # every output of a benchmark run, SVG included, against its recorded sha256
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import WORKLOADS
 
@@ -524,9 +610,11 @@ def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed):
     assert digests == golden[name][str(seed)]
 
 
-@pytest.mark.parametrize("rows", [1, 7, 499, 500, 999, 1000, 1001])
-def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rows):
+@pytest.mark.parametrize("rows, cores", on_cores(
+    {str(rows): (rows,) for rows in (1, 7, 499, 500, 999, 1000, 1001)}, usual=2))
+def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rows, cores):
     # the averaging windows span 500 and 1000 rows at dt = 0.01
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
     for name, (_, _, digest) in PINNED_SHA256.items():
         assert pinned_digest(tmp_path, name) == digest, name
@@ -558,10 +646,14 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", ["isolated", "pair"])
-def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command, cores", on_cores(
+    {command: (command,) for command in ("isolated", "pair")}, usual=1))
+def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command, cores):
     # tracing every allocation slows a run some 20-fold, so small blocks let
-    # short runs stand for long ones: 10 blocks against 100
+    # short runs stand for long ones: 10 blocks against 100. tracemalloc sees
+    # only this process: on one core it holds the integration and the
+    # writer, on two only the writer.
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
     out = str(tmp_path / "out.csv")
     main([command, "--t-end", "5", "--out", out])  # one-time costs

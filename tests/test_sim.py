@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import pickle
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -330,6 +333,80 @@ class TestSinks:
         with pytest.raises(DivergenceError):
             run_pair(SimSpec(dt=0.01, t_end=10.0), config, sink)
         assert all(len(b) == 10 for b in sink.blocks)
+
+
+@pytest.mark.parametrize("message", [None, "adapted parameter 'm' reached zero at t=1.5"])
+def test_divergence_error_survives_pickling(message):
+    error = DivergenceError(1.5, message)
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), copy.t, str(copy)) == (DivergenceError, 1.5, str(error))
+
+
+#: a pair whose adapted ``m`` reaches zero at t = 0.38, after 38 rows
+POLE_CONFIG = replace(REFERENCE_CONFIG, post=replace(QUIET, m=0.0005),
+                      adaptation=AdaptationSpec(target="m", start_time=0.0))
+
+
+class TestIntegratingChild:
+    """On two cores a run with a sink integrates in a forked child and hands
+    the blocks over in this process."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+
+    def test_divergence_follows_the_full_blocks(self, monkeypatch):
+        outcomes = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            sink = Blocks()
+            with pytest.raises(DivergenceError) as caught:
+                run_pair(SimSpec(dt=0.01, t_end=50.0), POLE_CONFIG, sink)
+            blocks = [block.tolist() for block in sink.blocks]
+            outcomes.append((caught.value.t, str(caught.value), len(sink), blocks))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][2] == 30
+
+    def test_any_error_in_the_child_reaches_the_caller(self, monkeypatch):
+        def fail(*args):
+            raise ZeroDivisionError(os.getpid())
+
+        monkeypatch.setattr(sim, "_integrate", fail)
+        with pytest.raises(ZeroDivisionError) as caught:
+            run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
+        assert caught.value.args[0] != os.getpid()
+
+    def test_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def die(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+
+        monkeypatch.setattr(sim, "_integrate", die)
+        with pytest.raises(ChildProcessError):
+            run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
+
+    @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
+                                      "no fork", "pool worker"])
+    def test_stays_in_process(self, monkeypatch, case):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        if case == "one block":
+            monkeypatch.setattr(sim, "BLOCK_ROWS", 101)
+        elif case == "one core":
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif case == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "pool worker":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        spec = SimSpec(dt=0.01, t_end=1.0)
+        sink = {"no sink": None, "collector": sim.Collector()}.get(case, Blocks())
+        run = run_pair(spec, REFERENCE_CONFIG, sink)
+        assert len(run) == 101
 
 
 class TestRunIsolated:
