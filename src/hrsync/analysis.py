@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Collector, DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
+from .sim import BLOCK_ROWS, Collector, DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
 
 __all__ = [
     "SweepSummary",
@@ -111,17 +111,17 @@ def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     t = trajectory.t
-    mask = (t >= t0) & (t <= t1)
-    if not mask.any():
+    rows = np.flatnonzero((t >= t0) & (t <= t1))
+    if not len(rows):
         raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
-    # Python's ``**`` calls libm pow, which can differ from numpy's square in
-    # the last bit, and the summary is written to CSV: keep float arithmetic.
-    e = (trajectory.post[mask] - trajectory.pre[mask]).tolist()
     total = 0.0
-    # left to right: builtin sum() compensates its rounding from Python 3.12 on
-    for e0, e1, e2, e3 in e:
-        total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
-    return math.sqrt(total / len(e))
+    # libm pow (``**``) can differ from numpy's square in the last bit, and the
+    # summary reaches the CSV: float arithmetic, left to right (builtin sum()
+    # compensates from Python 3.12 on), one block of Python floats at a time
+    for block in np.split(rows, range(BLOCK_ROWS, len(rows), BLOCK_ROWS)):
+        for e0, e1, e2, e3 in (trajectory.post[block] - trajectory.pre[block]).tolist():
+            total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
+    return math.sqrt(total / len(rows))
 
 
 @dataclass(frozen=True)

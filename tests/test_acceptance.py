@@ -23,8 +23,13 @@ the state error as ``exp(-n*k*t)``. Criterion 7 sweeps the coupling with
 windows of 500 units, the first after the relaxation and the second after
 the adaptation switched on at t = 1000.
 
-Criteria 5-7 bound their runtime per RK4 step, since their horizons are set
-by the model rather than by a time budget.
+Criterion 10 is the paper's central claim: forced synchrony creates the
+conditions under which the adaptive law works. With criterion 6's protocol,
+the adapted current settles on the sender's only where the coupling forces
+synchrony (K = 0.5 and 1), and keeps wandering below that (K = 0.3).
+
+Criteria 5-7 and 10 bound their runtime per RK4 step, since their horizons
+are set by the model rather than by a time budget.
 """
 
 import time
@@ -64,6 +69,12 @@ SWEEP_T_END = 2000.0
 SWEEP_ADAPT_AT = 1000.0
 SWEEP_PRE_WINDOW = (500.0, 1000.0)
 SWEEP_POST_WINDOW = (1500.0, 2000.0)
+
+#: Criterion 10: criterion 6's protocol at couplings below and above the
+#: threshold, between K = 0.45 and 0.5. Below it the adapted current wanders
+#: (at K = 0.3 it ends near 3.024 while |e| is 4.6), so the statistic is its
+#: largest gap over the last 1000 units, not its end value.
+THRESHOLD_WINDOW = (2000.0, 3000.0)
 
 #: Allowed wall time per RK4 step: 5 s / 20 000 steps for a pair run and
 #: 30 s / 100 000 steps for the five-run sweep.
@@ -258,4 +269,21 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert main(["pair", "--out", str(second)]) == 0
     identical = first.read_bytes() == second.read_bytes()
     crit.check(identical, f"two default pair runs wrote identical bytes ({first.stat().st_size} each)")
+    crit.conclude()
+
+
+def test_criterion_10_adaptation_needs_forced_synchrony():
+    crit = Criterion(10, "adaptation needs forced synchrony")
+    spec = SimSpec(dt=0.01, t_end=ADAPTED_T_END, record_every=10)
+    lo, hi = THRESHOLD_WINDOW
+    elapsed = 0.0
+    for K, converges in ((0.3, False), (0.5, True), (1.0, True)):
+        run, seconds = timed_pair_run(spec, replace(DEFAULT_CONFIG, K=K))
+        elapsed += seconds
+        in_window = (run.t >= lo) & (run.t <= hi)
+        gap = float(np.abs(run.q[in_window] - 3.024).max())
+        label = f"K={K:g}: max |I2 - 3.024| over [{lo:g},{hi:g}] = {gap:.4f}"
+        crit.check(gap < 0.05 if converges else gap > 1.0,
+                   f"{label} {'< 0.05' if converges else '> 1'}")
+    crit.check_step_cost(elapsed, 3 * spec.n_steps, PAIR_US_PER_STEP)
     crit.conclude()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hrsync import analysis
+from hrsync import analysis, sim
 from hrsync.analysis import (
     SweepSummary,
     TrailingMean,
@@ -140,6 +140,14 @@ class TestSyncRms:
         run = dataclasses.replace(run, post=np.array([[1e8, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0.0]]))
         assert sync_rms(run, 0.0, 2.0) == math.sqrt(1e16 / 3)
 
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
+        # the errors are summed a block at a time, one sum across the blocks
+        run = run_pair(SimSpec(dt=0.01, t_end=20.0), REFERENCE_CONFIG)
+        want = sync_rms(run, 5.0, 15.0)
+        for rows in (1, 7, 1000, 1001):
+            monkeypatch.setattr(analysis, "BLOCK_ROWS", rows)
+            assert sync_rms(run, 5.0, 15.0) == want
+
     def test_usage_errors(self):
         run = fake_run([t * 1.0 for t in range(5)])
         with pytest.raises(ValueError):
@@ -171,15 +179,17 @@ class TestSweep:
             sync_rms(run, 50.0, 100.0), rel=1e-12
         )
 
-    def test_window_rows_give_the_bits_of_the_full_run(self):
-        # a sweep keeps only the rows of its two windows; the reductions
-        # select the same rows as on the whole trajectory
+    def test_window_rows_give_the_bits_of_the_full_run(self, monkeypatch):
+        # a sweep keeps only the rows of its two windows, block by block; its
+        # statistics are those of the same rows of the whole trajectory, bit
+        # for bit, when the windows straddle blocks
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 1000)
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=3, transient=20.0)
         (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG)
         run = run_pair(spec, REFERENCE_CONFIG)
         windows = ((50.0, 100.0), (150.0, 200.0))
-        want = [analysis._window_mean(run.t, getattr(run, name), window)
-                for window in windows for name in ("H_post", "Hdot_post")]
+        want = [float(getattr(run, name)[(run.t >= lo) & (run.t <= hi)].mean())
+                for lo, hi in windows for name in ("H_post", "Hdot_post")]
         want += [sync_rms(run, *window) for window in windows]
         assert [summary.pre_adapt_avg_H, summary.pre_adapt_avg_Hdot,
                 summary.post_adapt_avg_H, summary.post_adapt_avg_Hdot,
@@ -216,6 +226,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_K([1.0], spec, REFERENCE_CONFIG,
                     pre_window=(120.0, 130.0), post_window=(150.0, 200.0))
+        # only t = 0 and t = 200 are recorded, so the pre window is empty
+        sparse = SimSpec(dt=0.01, t_end=200.0, record_every=20000)
+        with pytest.raises(ValueError, match=r"no samples in window \[50, 100\]"):
+            sweep_K([1.0], sparse, REFERENCE_CONFIG)
 
     def test_summaries_stable_under_sampling_refinement(self):
         coarse = sweep_K([5.0], SimSpec(dt=0.01, t_end=200.0, record_every=10),

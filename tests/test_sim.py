@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hrsync import sim
+from hrsync.analysis import sweep_K
 from hrsync.energy import energy_terms
 from hrsync.model import ADAPTABLE_PARAMS, PARAM_INDEX, NeuronParams, NeuronState, field
 from hrsync.sim import (
@@ -389,7 +390,7 @@ class TestIntegratingChild:
             run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
 
     @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
-                                      "no fork", "pool worker"])
+                                      "no fork", "pool worker", "one-K sweep"])
     def test_stays_in_process(self, monkeypatch, case):
         def fork():
             raise AssertionError("forked")
@@ -404,6 +405,14 @@ class TestIntegratingChild:
         elif case == "pool worker":
             monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         spec = SimSpec(dt=0.01, t_end=1.0)
+        if case == "one-K sweep":
+            # on two cores and several blocks: its window sink is a Collector
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
+            (summary,) = sweep_K([5.0], spec, replace(REFERENCE_CONFIG, adaptation=None),
+                                 pre_window=(0.1, 0.5), post_window=(0.5, 1.0))
+            assert summary.error is None
+            return
         sink = {"no sink": None, "collector": sim.Collector()}.get(case, Blocks())
         run = run_pair(spec, REFERENCE_CONFIG, sink)
         assert len(run) == 101
