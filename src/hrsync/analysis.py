@@ -166,18 +166,17 @@ def _window_mean(t: np.ndarray, v: np.ndarray, window: tuple[float, float]) -> f
 
 
 def _sweep_one(
-    K: float,
-    spec: SimSpec,
     config: PairConfig,
+    spec: SimSpec,
     pre_window: tuple[float, float],
     post_window: tuple[float, float],
 ) -> SweepSummary:
     try:
-        rows = run_pair(spec, replace(config, K=K), _WindowRows(pre_window, post_window))
+        rows = run_pair(spec, config, _WindowRows(pre_window, post_window))
         run = Trajectory.of_pair_rows(rows.table(14))
         t = run.t
         return SweepSummary(
-            K=K,
+            K=config.K,
             pre_adapt_avg_H=_window_mean(t, run.H_post, pre_window),
             pre_adapt_avg_Hdot=_window_mean(t, run.Hdot_post, pre_window),
             post_adapt_avg_H=_window_mean(t, run.H_post, post_window),
@@ -187,7 +186,8 @@ def _sweep_one(
         )
     except DivergenceError as exc:
         nan = float("nan")
-        return SweepSummary(K, nan, nan, nan, nan, nan, nan, error=f"divergence at t={exc.t:g}")
+        return SweepSummary(config.K, nan, nan, nan, nan, nan, nan,
+                            error=f"divergence at t={exc.t:g}")
 
 
 def sweep_K(
@@ -200,14 +200,13 @@ def sweep_K(
 ) -> list[SweepSummary]:
     """One coupled run per coupling strength, summarized per window.
 
-    Runs are independent and execute on a process pool of one worker per
-    core, and at most one per run; a single run or core runs in process.
-    Output order matches the input order. A diverging run yields a summary
-    with its ``error`` field set; the other runs are unaffected.
+    Every run's :class:`PairConfig`, which checks its ``K``, is built before
+    any run starts. Runs are independent and execute on a process pool of
+    one worker per core, and at most one per run; a single run or core runs
+    in process. Output order matches the input order. A diverging run yields
+    a summary with its ``error`` field set; the other runs are unaffected.
     """
-    k_values = [float(K) for K in k_values]
-    if not all(math.isfinite(K) and K >= 0 for K in k_values):
-        raise ValueError("all coupling strengths must be finite and >= 0")
+    configs = [replace(config, K=float(K)) for K in k_values]
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
         raise ValueError("windows must be nonempty intervals")
     if pre_window[1] > post_window[0]:
@@ -219,20 +218,14 @@ def sweep_K(
                 "adaptation start must separate the pre and post windows"
             )
 
-    work = partial(
-        _sweep_one,
-        spec=spec,
-        config=config,
-        pre_window=pre_window,
-        post_window=post_window,
-    )
+    work = partial(_sweep_one, spec=spec, pre_window=pre_window, post_window=post_window)
     # a forked pool starts all its workers up front
-    workers = min(os.cpu_count() or 1, len(k_values))
+    workers = min(os.cpu_count() or 1, len(configs))
     if workers <= 1:
-        return [work(K) for K in k_values]
+        return [work(c) for c in configs]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, k_values))
+            return list(pool.map(work, configs))
     except OSError:
         # process pools can be unavailable in restricted environments
-        return [work(K) for K in k_values]
+        return [work(c) for c in configs]

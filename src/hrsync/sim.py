@@ -31,15 +31,15 @@ adapts ``a``, ``m`` or ``s`` stops with :class:`DivergenceError` once that
 parameter reaches zero or changes sign.
 
 Both the pair and the lone neuron (:func:`run_isolated`) go through one
-integration loop. It hands the recorded rows to a :class:`Sink` a block at a
-time, so a caller that formats or reduces each block holds no more than one
-block of the run. Without a sink, a :class:`Collector` keeps every row and
-the run returns a columnar :class:`Trajectory`. Runs are deterministic:
-identical specs and configs produce bit-identical rows on a given build.
-On two or more cores, a run of several blocks with a sink other than a
+integration loop, which emits the recorded samples as flat blocks of floats.
+:func:`_stream` turns each block into rows and hands them to a :class:`Sink`,
+so a caller that formats or reduces each block holds no more than one block
+of the run. Without a sink, a :class:`Collector` keeps every row and the run
+returns a columnar :class:`Trajectory`. Runs are deterministic: identical
+specs and configs produce bit-identical rows on a given build. On two or
+more cores, a run of several blocks with a sink other than a
 :class:`Collector` integrates in a forked child while the caller's sink
-formats the blocks (:func:`_stream`); the rows and errors are the same as
-in process.
+formats the blocks; the rows and errors are the same as in process.
 """
 
 from __future__ import annotations
@@ -246,8 +246,9 @@ class Sink:
     ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
     ``len()`` is the number of rows handed over so far. A run that stops
     with :class:`DivergenceError` does not hand over its last partial block.
-    :meth:`put` is called in the caller's process, and when the run
-    integrates in a forked child, its blocks are read-only.
+    The rows are made and counted, and :meth:`put` is called, in the
+    caller's process; when the run integrates in a forked child, its blocks
+    are read-only.
     """
 
     rows = 0
@@ -438,16 +439,9 @@ def _inside_kernel(n: int, guarded: int):
     return compile_kernel("inside", "S", [(", ".join(v), "S")], " and ".join(tests), env)
 
 
-def _hand(sink: Sink, block, width: int) -> None:
-    """Hand ``sink`` the rows of a flat buffer of ``width``-float rows."""
-    rows = np.frombuffer(block, dtype=float).reshape(-1, width)
-    sink.rows += len(rows)
-    sink.put(rows)
-
-
 def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
-               guarded: int, row, width: int, sink: Sink, signed: str | None = None) -> None:
-    """RK4 from t=0 to ``spec.t_end``, handing the recorded rows to ``sink``.
+               guarded: int, row, emit, signed: str | None = None) -> None:
+    """RK4 from t=0 to ``spec.t_end``, emitting the recorded samples in blocks.
 
     A step is ``active(state)`` when its left endpoint is at or past
     ``start``, else ``idle(state)``. A step whose result is not finite stops
@@ -455,10 +449,9 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
     are held to the divergence bound; one generated test, ``inside``, checks
     both on every step. If ``signed`` names the last component,
     that component must keep the sign it starts with and never reach zero.
-    At each of ``spec.recorded_steps``, the ``width`` floats of
-    ``row(t, state)`` are appended to a flat buffer, which goes to
-    ``sink.put`` as an ``(n, width)`` array every :data:`BLOCK_ROWS` rows
-    and at the end.
+    At each of ``spec.recorded_steps``, the floats of ``row(t, state)`` are
+    appended to a flat ``array("d")``, which goes to ``emit`` every
+    :data:`BLOCK_ROWS` rows and at the end.
     """
     dt = spec.dt
     recorded = spec.recorded_steps
@@ -477,7 +470,7 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
         if i >= first and i % rec == 0:
             put(row(t, state))
             if i == flush_at:
-                _hand(sink, block, width)
+                emit(block)
                 block = array("d")
                 put = block.extend
                 flush_at += per_block * rec
@@ -499,29 +492,37 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
                 f" t={(i + 1) * dt:g}; the energy divides by a and m*s",
             )
     if block:
-        _hand(sink, block, width)
+        emit(block)
 
 
-def _stream(spec: SimSpec, sink: Sink, width: int, integrate) -> None:
-    """Call ``integrate(sink)``, in a forked child when that can overlap.
+def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
+    """Run ``integrate(emit)``, hand each flat block it emits to ``sink`` as
+    counted ``(n, width)`` rows in this process, and return the sink (a new
+    :class:`Collector` when ``sink`` is None).
 
-    A run of one block has nothing to overlap, a :class:`Collector` gains
-    nothing from a second process and a pool worker forks no second level,
-    so those, and hosts with one core or without ``os.fork``, integrate in
-    process. Otherwise a forked child integrates into a relay sink that
-    writes each block's bytes to a pipe, whose capacity bounds how far it
-    runs ahead, and this process hands the blocks to ``sink`` in order. The
-    child then sends the exception that stopped its run, or None, and this
-    process raises it.
+    A run of one block has nothing to overlap and a :class:`Collector` (the
+    sweep's window sink among them) gains nothing from a second process, so
+    those, and hosts with one core or without ``os.fork``, integrate in
+    process. Otherwise a forked child emits each block's bytes to a pipe,
+    whose capacity bounds how far it runs ahead, and this process hands the
+    blocks to ``sink`` in order. The child then sends the exception that
+    stopped its run, or None, and this process raises it.
     """
     import multiprocessing
     import os
 
+    if sink is None:
+        sink = Collector()
+
+    def hand(block) -> None:
+        rows = np.frombuffer(block, dtype=float).reshape(-1, width)
+        sink.rows += len(rows)
+        sink.put(rows)
+
     if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
-            or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")
-            or multiprocessing.parent_process() is not None):
-        integrate(sink)
-        return
+            or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")):
+        integrate(hand)
+        return sink
     import fcntl
     import signal
 
@@ -537,10 +538,8 @@ def _stream(spec: SimSpec, sink: Sink, width: int, integrate) -> None:
         code = 1
         try:
             reader.close()
-            relay = Sink()
-            relay.put = writer.send_bytes
             try:
-                integrate(relay)
+                integrate(writer.send_bytes)
                 outcome = None
             except BaseException as exc:  # re-raised by the parent
                 outcome = exc
@@ -552,7 +551,7 @@ def _stream(spec: SimSpec, sink: Sink, width: int, integrate) -> None:
     writer.close()
     try:
         while block := reader.recv_bytes():
-            _hand(sink, block, width)
+            hand(block)
             del block  # not held while the next one is received
         outcome = reader.recv()
     except EOFError:
@@ -565,6 +564,7 @@ def _stream(spec: SimSpec, sink: Sink, width: int, integrate) -> None:
         os.waitpid(pid, 0)
     if outcome is not None:
         raise outcome
+    return sink
 
 
 def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
@@ -582,10 +582,9 @@ def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
     joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q)
     idle, active, row = _pair_kernels(config, spec.dt)
     signed = target if target in POLE_PARAMS else None
-    rows = Collector() if sink is None else sink
-    _stream(spec, rows, 14, lambda to: _integrate(spec, joint, idle, active, start, 8, row, 14,
-                                                  to, signed))
-    return Trajectory.of_pair_rows(rows.table(14)) if sink is None else sink
+    rows = _stream(spec, sink, 14, lambda emit: _integrate(spec, joint, idle, active, start, 8,
+                                                           row, emit, signed))
+    return Trajectory.of_pair_rows(rows.table(14)) if sink is None else rows
 
 
 def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
@@ -597,11 +596,10 @@ def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
     """
     step, row = _lone_kernels(params, spec.dt)
     start = spec.initial_pre.as_tuple()
-    rows = Collector() if sink is None else sink
-    _stream(spec, rows, 7, lambda to: _integrate(spec, start, step, step, math.inf, 4, row, 7,
-                                                 to))
+    rows = _stream(spec, sink, 7, lambda emit: _integrate(spec, start, step, step, math.inf, 4,
+                                                          row, emit))
     if sink is not None:
-        return sink
+        return rows
     table = rows.table(7)
     state = table[:, 1:5]
     q = np.full(len(table), params.I)

@@ -231,6 +231,14 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"no samples in window \[50, 100\]"):
             sweep_K([1.0], sparse, REFERENCE_CONFIG)
 
+    def test_k_is_checked_before_any_run(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(analysis, "run_pair", started)
+        with pytest.raises(ValueError, match="finite"):
+            sweep_K([1.0, float("nan")], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
+
     def test_summaries_stable_under_sampling_refinement(self):
         coarse = sweep_K([5.0], SimSpec(dt=0.01, t_end=200.0, record_every=10),
                          REFERENCE_CONFIG)[0]

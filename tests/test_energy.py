@@ -129,6 +129,27 @@ class TestAlongTrajectories:
         assert abs(free_avg) < 0.5
         assert abs(np.mean(guided)) > 2.0
 
+    def test_receiver_ledger_closes_with_the_coupling_power(self):
+        # the coupling moves the receiver's energy at the rate Pc = gx2*K*(x1 - x2),
+        # the x component of its gradient times the coupling term; with Hdot2
+        # it accounts for the whole change of H2 over the forced regime, up to
+        # the trapezoid rule's error at h = dt (acceptance criterion 5's run)
+        from hrsync.sim import PairConfig, run_pair
+
+        config = PairConfig(pre=CANON, post=NeuronParams.canonical(I=0.85), K=5.0)
+        spec = SimSpec(dt=0.01, t_end=1500.0, record_every=1, transient=500.0)
+        run = run_pair(spec, config)
+        P_post = astuple(config.post)
+        gx2 = np.array([energy_terms(*post, P_post)[2][0] for post in run.post.tolist()])
+        pc = gx2 * config.K * (run.pre[:, 0] - run.post[:, 0])
+
+        def integral(rate):
+            return float(np.sum(rate[:-1] + rate[1:]) * spec.dt / 2)
+
+        change = float(run.H_post[-1] - run.H_post[0])
+        assert abs(integral(run.Hdot_post + pc) - change) < 1e-2
+        assert abs(integral(run.Hdot_post) - change) > 1000
+
     def test_spike_phases(self):
         # depolarization demands dissipation (Hdot < 0), repolarization a
         # positive energy contribution, with the conventional negative p

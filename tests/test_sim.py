@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -390,7 +391,7 @@ class TestIntegratingChild:
             run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
 
     @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
-                                      "no fork", "pool worker", "one-K sweep"])
+                                      "no fork", "one-K sweep"])
     def test_stays_in_process(self, monkeypatch, case):
         def fork():
             raise AssertionError("forked")
@@ -402,8 +403,6 @@ class TestIntegratingChild:
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         elif case == "no fork":
             monkeypatch.delattr(os, "fork")
-        elif case == "pool worker":
-            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         spec = SimSpec(dt=0.01, t_end=1.0)
         if case == "one-K sweep":
             # on two cores and several blocks: its window sink is a Collector
@@ -416,6 +415,39 @@ class TestIntegratingChild:
         sink = {"no sink": None, "collector": sim.Collector()}.get(case, Blocks())
         run = run_pair(spec, REFERENCE_CONFIG, sink)
         assert len(run) == 101
+
+    def test_pool_worker_forks_like_any_caller(self):
+        # the fixture's two cores and 10-row blocks reach the forked worker
+        spec = SimSpec(dt=0.01, t_end=1.0)
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            forks, blocks, child_left = pool.submit(run_in_worker, spec).result()
+        assert forks == 1
+        assert not child_left
+        assert [len(block) for block in blocks] == [10] * 10 + [1]
+        assert Trajectory.of_pair_rows(np.concatenate(blocks)) == run_pair(spec, REFERENCE_CONFIG)
+
+
+def run_in_worker(spec):
+    """Run the reference pair into :class:`Blocks` in this process: the number
+    of forks it made, its blocks, and whether it left a child behind."""
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    os.fork = counting_fork
+    try:
+        blocks = run_pair(spec, REFERENCE_CONFIG, Blocks()).blocks
+    finally:
+        os.fork = real_fork
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        child_left = True
+    except ChildProcessError:
+        child_left = False
+    return len(forks), blocks, child_left
 
 
 class TestRunIsolated:
