@@ -5,20 +5,31 @@ interest: trailing moving averages of the energy and its derivative (5 and
 10 time-unit windows in the reference experiments), RMS state error, and
 per-coupling-strength summaries comparing the regimes before and after the
 structural adaptation kicks in.
+
+The reductions that the command line runs, :class:`TrailingMean` and the
+sweep's window statistics, are plain Python over floats, so they import no
+numpy. They keep numpy's bits: the trailing means continue one sequential
+running sum like ``np.cumsum``, and a window mean follows the order of
+numpy's pairwise sum. :func:`windowed_average` and :func:`sync_rms` of a
+:class:`Trajectory` take and give numpy arrays and import numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Sequence
-
-import numpy as np
+from functools import partial, reduce
+from itertools import accumulate
+from operator import add, sub
+from typing import TYPE_CHECKING, Sequence
 
 from .sim import BLOCK_ROWS, Collector, DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SweepSummary",
@@ -68,23 +79,27 @@ class TrailingMean:
         self.k = math.ceil(ratio)
         self._sums = None  # the last k running sums, the newest last
 
-    def push(self, values: np.ndarray) -> np.ndarray:
-        """Means of the windows that end at each of ``values``, in order,
-        from the first full window on."""
+    def push(self, values) -> list[float]:
+        """Means of the windows that end at each of the floats ``values``, in
+        order, from the first full window on."""
         k, sums = self.k, self._sums
         if sums is None:
-            sums = np.concatenate(([0.0], np.cumsum(values)))
+            # the first sum is the first value itself, as in np.cumsum (0.0
+            # plus a -0.0 would not be)
+            sums = [0.0, *accumulate(values)]
         else:
-            # prepend the carried total: adding it after the cumsum would
-            # round differently from one sequential sum
-            sums = np.concatenate((sums[:-1], np.cumsum(np.concatenate((sums[-1:], values)))))
+            # continue from the carried total: adding it after a fresh
+            # running sum would round differently from one sequential sum
+            sums[-1:] = accumulate(values, initial=sums[-1])
         self._sums = sums[-k:]
-        return (sums[k:] - sums[:-k]) / k
+        return [(b - a) / k for a, b in zip(sums, sums[k:])]
 
 
 def windowed_average(times, values, window: float) -> WindowedSeries:
     """Trailing moving average over a fixed duration, one value per sample
     once the window is full."""
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape:
@@ -98,29 +113,58 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
     if np.any(np.abs(steps - spacing) > 1e-6 * max(spacing, 1.0)):
         raise ValueError("series must be uniformly sampled")
     mean = TrailingMean(window, spacing, len(values))
-    avg = mean.push(values)
+    avg = np.array(mean.push(values.tolist()), dtype=float)
     return WindowedSeries(times=times[mean.k - 1 :].copy(), values=avg, window=window)
 
 
-def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
+def _squared_errors(total: float, x1, y1, z1, w1, x2, y2, z2, w2) -> float:
+    """``total`` plus the squared error norm of each row, given the columns
+    of both states as iterables of floats."""
+    # libm pow (``**``) can differ from numpy's square in the last bit, and the
+    # summary reaches the CSV: float arithmetic, left to right (builtin sum()
+    # compensates from Python 3.12 on)
+    for e0, e1, e2, e3 in zip(map(sub, x2, x1), map(sub, y2, y1), map(sub, z2, z1),
+                              map(sub, w2, w1)):
+        total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
+    return total
+
+
+def _window(rows: Collector, t0: float, t1: float):
+    """Column getter of the pair rows of ``rows`` with ``t0 <= t <= t1``:
+    ``column(c)`` is a strided ``memoryview`` of column ``c``. The rows are
+    in time order, so they are one run, found by bisection."""
+    flat = memoryview(rows.data)
+    t = flat[::14]
+    lo, hi = bisect_left(t, t0), bisect_right(t, t1)
+    if lo == hi:
+        raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
+    return lambda c: flat[lo * 14 + c : hi * 14 : 14]
+
+
+def sync_rms(trajectory: Trajectory | Collector, t0: float, t1: float) -> float:
     """Root-mean-square of the full-state error norm over ``t in [t0, t1]``.
 
-    The error norm is Euclidean over all four components, so this measures
-    identical (full-state) synchrony, not just membrane-potential agreement.
+    ``trajectory`` is a pair's :class:`Trajectory`, or a :class:`Collector`
+    of its rows in time order. The error norm is Euclidean over all four
+    components, so this measures identical (full-state) synchrony, not just
+    membrane-potential agreement.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
+    if isinstance(trajectory, Collector):
+        column = _window(trajectory, t0, t1)
+        return math.sqrt(_squared_errors(0.0, *map(column, range(1, 9))) / len(column(0)))
+    import numpy as np
+
     t = trajectory.t
     rows = np.flatnonzero((t >= t0) & (t <= t1))
     if not len(rows):
         raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
     total = 0.0
-    # libm pow (``**``) can differ from numpy's square in the last bit, and the
-    # summary reaches the CSV: float arithmetic, left to right (builtin sum()
-    # compensates from Python 3.12 on), one block of Python floats at a time
+    # one block of Python floats at a time, one sum across the blocks
     for block in np.split(rows, range(BLOCK_ROWS, len(rows), BLOCK_ROWS)):
-        for e0, e1, e2, e3 in (trajectory.post[block] - trajectory.pre[block]).tolist():
-            total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
+        pre, post = trajectory.pre[block].T.tolist(), trajectory.post[block].T.tolist()
+        total = _squared_errors(total, *pre, *post)
     return math.sqrt(total / len(rows))
 
 
@@ -144,25 +188,45 @@ class SweepSummary:
 
 
 class _WindowRows(Collector):
-    """Sink that keeps only the rows whose time lies in one of ``windows``."""
+    """Sink that keeps only the rows whose time lies in one of ``windows``,
+    which are in time order."""
 
     def __init__(self, *windows: tuple[float, float]):
         super().__init__()
         self.windows = windows
 
-    def put(self, block: np.ndarray) -> None:
-        t = block[:, 0]
-        keep = np.zeros(len(t), dtype=bool)
+    def put(self, block: memoryview) -> None:
+        # times increase, so each window's rows are one run of the block
+        t = block.cast("B").cast("d")[:: block.shape[1]]
+        end = 0
         for lo, hi in self.windows:
-            keep |= (t >= lo) & (t <= hi)
-        super().put(block[keep])
+            first = max(bisect_left(t, lo), end)  # a row on two windows is kept once
+            end = max(bisect_right(t, hi), first)
+            if end > first:
+                super().put(block[first:end])
 
 
-def _window_mean(t: np.ndarray, v: np.ndarray, window: tuple[float, float]) -> float:
-    mask = (t >= window[0]) & (t <= window[1])
-    if not mask.any():
-        raise ValueError(f"no samples in window [{window[0]:g}, {window[1]:g}]")
-    return float(v[mask].mean())
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of ``values`` in the order of numpy's pairwise summation: eight
+    accumulators over up to 128 values, and above that the sums of two
+    halves split at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[j + 8 : m : 8], values[j]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[m:], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of the floats ``values``, bit for bit: numpy adds their
+    pairwise sum to the identity 0.0, then divides by the count."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
 def _sweep_one(
@@ -173,17 +237,12 @@ def _sweep_one(
 ) -> SweepSummary:
     try:
         rows = run_pair(spec, config, _WindowRows(pre_window, post_window))
-        run = Trajectory.of_pair_rows(rows.table(14))
-        t = run.t
-        return SweepSummary(
-            K=config.K,
-            pre_adapt_avg_H=_window_mean(t, run.H_post, pre_window),
-            pre_adapt_avg_Hdot=_window_mean(t, run.Hdot_post, pre_window),
-            post_adapt_avg_H=_window_mean(t, run.H_post, post_window),
-            post_adapt_avg_Hdot=_window_mean(t, run.Hdot_post, post_window),
-            pre_adapt_sync_rms=sync_rms(run, *pre_window),
-            post_adapt_sync_rms=sync_rms(run, *post_window),
-        )
+        means = [_mean(_window(rows, *window)(column).tolist())
+                 for window in (pre_window, post_window) for column in (12, 13)]
+        # sync_rms follows the run: perfbench's tracer writes a pool worker's
+        # sample count only when a traced call ends after the run's
+        return SweepSummary(config.K, *means, sync_rms(rows, *pre_window),
+                            sync_rms(rows, *post_window))
     except DivergenceError as exc:
         nan = float("nan")
         return SweepSummary(config.K, nan, nan, nan, nan, nan, nan,

@@ -21,7 +21,9 @@ byte-identical across repeated invocations of the same configuration on a
 given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
 ``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
 bytes hold for a given libm build; sums run left to right, so they do not
-depend on the Python version. Every file, SVG included, is written as
+depend on the Python version. ``sweep.csv``'s window means add in the order
+of numpy's pairwise sum, so they keep the bits ``np.mean`` gave, but no
+command imports numpy. Every file, SVG included, is written as
 ``<path>.part``, renamed into place if the command succeeds, else deleted.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
@@ -37,10 +39,9 @@ import sys
 from array import array
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field, fields as dc_fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO, get_type_hints
-
-import numpy as np
 
 from .analysis import TrailingMean, sweep_K
 from .model import NeuronParams, NeuronState
@@ -249,21 +250,25 @@ class _Outputs(ExitStack):
 
 
 class _ColumnWriter(Sink):
-    """Writes picked columns of each block of rows to CSV handles, and keeps
-    the ``kept`` columns whole for plotting."""
+    """Writes each block of rows to CSV handles, whole or as the picked
+    columns, and keeps the ``kept`` columns whole for plotting."""
 
     def __init__(self, outputs, kept=()):
-        self.outputs = [(handle, list(picks)) for handle, picks in outputs]
+        # picks None: every column, as the rows come
+        self.outputs = [(handle, None if picks is None else itemgetter(*picks))
+                        for handle, picks in outputs]
         self.kept = {column: array("d") for column in kept}
 
-    def put(self, block: np.ndarray) -> None:
+    def put(self, block: memoryview) -> None:
+        rows = block.tolist()
         # line by line: a block's text would double the memory of its rows
-        for handle, picks in self.outputs:
+        for handle, pick in self.outputs:
             write = handle.write
-            for row in block[:, picks].tolist():
+            for row in map(pick, rows) if pick else rows:
                 write(",".join(map(repr, row)) + "\n")
+        flat, width = block.cast("B").cast("d"), block.shape[1]
         for column, series in self.kept.items():
-            series.extend(block[:, column].tolist())
+            series.extend(flat[column::width])
 
 
 def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
@@ -290,13 +295,13 @@ class _PairWriter(Sink):
         self.means = [_trailing_mean(spec, window) for window in (H_WINDOW, HDOT_WINDOW)]
         self.plotted = [(array("d"), array("d")) for _ in range(3)] if plot else []
 
-    def put(self, block: np.ndarray) -> None:
-        n = len(block)
-        averages = [mean.push(block[:, column]).tolist() if mean else []
+    def put(self, block: memoryview) -> None:
+        n, flat = len(block), block.cast("B").cast("d")
+        averages = [mean.push(flat[column::14].tolist()) if mean else []
                     for mean, column in zip(self.means, (12, 13))]
         # each average starts once its window is full
-        for (times, values), new in zip(self.plotted, (block[:, 9].tolist(), *averages)):
-            times.extend(block[n - len(new):, 0].tolist())
+        for (times, values), new in zip(self.plotted, (flat[9::14].tolist(), *averages)):
+            times.extend(flat[(n - len(new)) * 14::14])
             values.extend(new)
         cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
         write = self.handle.write
@@ -314,7 +319,7 @@ def cmd_isolated(cfg: RunConfig, outputs: _Outputs) -> None:
     spec = cfg.sim_spec()
     params = _neuron_params(cfg.i1, cfg.pre_overrides)
     out = Path(cfg.out or "isolated.csv")
-    handles = [(outputs.open(out, "t,x,y,z,w,H,Hdot"), range(7))]
+    handles = [(outputs.open(out, "t,x,y,z,w,H,Hdot"), None)]
     if cfg.plot:
         # opened before the run, as in ``pair``, so that a bad chart path fails early
         chart = outputs.open(out.with_suffix(".svg"))

@@ -32,14 +32,16 @@ parameter reaches zero or changes sign.
 
 Both the pair and the lone neuron (:func:`run_isolated`) go through one
 integration loop, which emits the recorded samples as flat blocks of floats.
-:func:`_stream` turns each block into rows and hands them to a :class:`Sink`,
-so a caller that formats or reduces each block holds no more than one block
-of the run. Without a sink, a :class:`Collector` keeps every row and the run
-returns a columnar :class:`Trajectory`. Runs are deterministic: identical
-specs and configs produce bit-identical rows on a given build. On two or
-more cores, a run of several blocks with a sink other than a
-:class:`Collector` integrates in a forked child while the caller's sink
-formats the blocks; the rows and errors are the same as in process.
+:func:`_stream` hands each block to a :class:`Sink` as a read-only 2-D
+``memoryview`` of its rows, so a caller that formats or reduces each block
+holds no more than one block of the run, and imports no numpy. Without a
+sink, a :class:`Collector` keeps every row and the run returns a columnar
+:class:`Trajectory` of numpy arrays; only such runs import numpy. Runs are
+deterministic: identical specs and configs produce bit-identical rows on a
+given build. On two or more cores, a run of several blocks with a sink
+other than a :class:`Collector` integrates in a forked child while the
+caller's sink formats the blocks; the rows and errors are the same as in
+process.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import astuple, dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .codegen import compile_kernel, rename
 from .energy import ENERGY, POLE_PARAMS
@@ -62,6 +63,9 @@ from .model import (
     NeuronState,
     field,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AdaptationSpec",
@@ -194,7 +198,7 @@ class Trajectory:
     parameter (the postsynaptic external current unless another target was
     configured). ``H_*`` and ``Hdot_*`` are each neuron's energy and energy
     derivative. ``len()`` is the number of samples, and two trajectories are
-    equal when every column is.
+    equal when every column is. The columns are numpy arrays.
     """
 
     t: np.ndarray
@@ -212,6 +216,8 @@ class Trajectory:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
+        import numpy as np
+
         return all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self)
@@ -241,14 +247,16 @@ class Sink:
     """Receiver of a run's recorded rows, in time order.
 
     The run calls :meth:`put` once per :data:`BLOCK_ROWS` recorded rows (the
-    last block may be shorter) with a fresh ``(n, width)`` float array. A
-    row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
+    last block may be shorter) with a fresh read-only ``memoryview`` of
+    float64, cast to shape ``(n, width)``: its ``len()`` is ``n`` and its
+    ``tolist()`` gives the rows, and ``block.cast("B").cast("d")`` is the
+    flat buffer, whose slice ``[c::width]`` is column ``c``. A row is the
+    run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
     ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
     ``len()`` is the number of rows handed over so far. A run that stops
     with :class:`DivergenceError` does not hand over its last partial block.
-    The rows are made and counted, and :meth:`put` is called, in the
-    caller's process; when the run integrates in a forked child, its blocks
-    are read-only.
+    The rows are counted, and :meth:`put` is called, in the caller's
+    process.
     """
 
     rows = 0
@@ -256,7 +264,7 @@ class Sink:
     def __len__(self) -> int:
         return self.rows
 
-    def put(self, block: np.ndarray) -> None:
+    def put(self, block: memoryview) -> None:
         raise NotImplementedError
 
 
@@ -266,11 +274,14 @@ class Collector(Sink):
     def __init__(self) -> None:
         self.data = array("d")
 
-    def put(self, block: np.ndarray) -> None:
-        self.data.frombytes(block.view(np.uint8))
+    def put(self, block: memoryview) -> None:
+        self.data.frombytes(block.cast("B"))
 
     def table(self, width: int) -> np.ndarray:
-        """The kept rows as one read-only ``(n, width)`` array, without copying."""
+        """The kept rows as one read-only ``(n, width)`` numpy array, without
+        copying."""
+        import numpy as np
+
         table = np.frombuffer(self.data, dtype=float).reshape(-1, width)
         table.flags.writeable = False
         return table
@@ -313,6 +324,8 @@ def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
     adaptation is configured. This is the per-point form of the pair
     equations that :func:`run_pair` integrates with generated code.
     """
+    import numpy as np
+
     joint = np.asarray(joint, dtype=float)
     if joint.shape != (9,):
         raise ValueError(f"joint state must be a flat 9-vector, got shape {joint.shape}")
@@ -497,8 +510,9 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
 
 def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     """Run ``integrate(emit)``, hand each flat block it emits to ``sink`` as
-    counted ``(n, width)`` rows in this process, and return the sink (a new
-    :class:`Collector` when ``sink`` is None).
+    counted rows, a read-only ``memoryview`` cast to ``(n, width)``, in this
+    process, and return the sink (a new :class:`Collector` when ``sink`` is
+    None).
 
     A run of one block has nothing to overlap and a :class:`Collector` (the
     sweep's window sink among them) gains nothing from a second process, so
@@ -515,7 +529,8 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
         sink = Collector()
 
     def hand(block) -> None:
-        rows = np.frombuffer(block, dtype=float).reshape(-1, width)
+        flat = memoryview(block).toreadonly().cast("B")
+        rows = flat.cast("d", (len(flat) // (8 * width), width))
         sink.rows += len(rows)
         sink.put(rows)
 
@@ -600,6 +615,8 @@ def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
                                                           row, emit))
     if sink is not None:
         return rows
+    import numpy as np
+
     table = rows.table(7)
     state = table[:, 1:5]
     q = np.full(len(table), params.I)

@@ -195,6 +195,22 @@ class TestSweep:
                 summary.post_adapt_avg_H, summary.post_adapt_avg_Hdot,
                 summary.pre_adapt_sync_rms, summary.post_adapt_sync_rms] == want
 
+    def test_windows_that_share_a_row_both_read_it(self, monkeypatch):
+        # t = 100 ends the pre window and starts the post window; the sweep
+        # keeps that row once, and each window's statistics include it
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 1000)
+        spec = SimSpec(dt=0.01, t_end=200.0, record_every=2)
+        windows = ((50.0, 100.0), (100.0, 150.0))
+        (summary,) = sweep_K([5.0], spec, REFERENCE_CONFIG,
+                             pre_window=windows[0], post_window=windows[1])
+        run = run_pair(spec, REFERENCE_CONFIG)
+        want = [float(getattr(run, name)[(run.t >= lo) & (run.t <= hi)].mean())
+                for lo, hi in windows for name in ("H_post", "Hdot_post")]
+        want += [sync_rms(run, *window) for window in windows]
+        assert [summary.pre_adapt_avg_H, summary.pre_adapt_avg_Hdot,
+                summary.post_adapt_avg_H, summary.post_adapt_avg_Hdot,
+                summary.pre_adapt_sync_rms, summary.post_adapt_sync_rms] == want
+
     def test_parallel_and_serial_agree(self, monkeypatch):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
         ks = [0.0, 5.0]
@@ -252,3 +268,56 @@ class TestSweep:
         s = SweepSummary(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert s.error is None
         assert s.K == 1.0
+
+
+def old_trailing_means(blocks, k):
+    """The numpy form of :meth:`TrailingMean.push` before it ran on floats:
+    the oracle of its bits."""
+    sums, out = None, []
+    for values in blocks:
+        if sums is None:
+            sums = np.concatenate(([0.0], np.cumsum(values)))
+        else:
+            sums = np.concatenate((sums[:-1], np.cumsum(np.concatenate((sums[-1:], values)))))
+        out.append((sums[k:] - sums[:-k]) / k)
+        sums = sums[-k:]
+    return np.concatenate(out)
+
+
+class TestPureReductionsKeepNumpysBits:
+    """The reductions the command line runs without numpy, against numpy."""
+
+    def test_mean_of_every_short_length(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 301):
+            v = rng.normal(size=n) * 1e3
+            assert analysis._mean(v.tolist()) == v.mean(), n
+
+    def test_mean_of_long_series_over_magnitudes(self):
+        rng = np.random.default_rng(17)
+        for n in [*rng.integers(301, 20002, size=60), 20001, 4096, 8192, 16384]:
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+            assert analysis._mean(v.tolist()) == v.mean(), n
+
+    def test_mean_of_a_masked_strided_column(self):
+        # the receiver's energy over a sweep window of a 20001-row table, as
+        # the trajectory gave it to np.mean
+        run = run_pair(SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
+        mask = (run.t >= 50.0) & (run.t <= 100.0)
+        for column in (run.H_post, run.Hdot_post):
+            assert analysis._mean(column[mask].tolist()) == column[mask].mean()
+
+    def test_mean_of_signed_zeros(self):
+        for v in ([-0.0], [-0.0] * 9, [-0.0] * 200, [1.0, -1.0, -0.0]):
+            assert repr(analysis._mean(v)) == repr(float(np.mean(v)))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 50])
+    @pytest.mark.parametrize("block", [1, 3, 8, 49, 64, 500])
+    def test_trailing_mean_matches_the_numpy_form(self, k, block):
+        rng = np.random.default_rng(k * 1000 + block)
+        v = rng.normal(size=500) * 10.0 ** rng.uniform(-8, 8, size=500)
+        blocks = [v[lo : lo + block] for lo in range(0, len(v), block)]
+        mean = TrailingMean(k * 0.5, 0.5, len(v))
+        assert mean.k == k
+        got = [x for values in blocks for x in mean.push(values.tolist())]
+        assert np.array(got).tobytes() == old_trailing_means(blocks, k).tobytes()

@@ -752,3 +752,49 @@ class TestReadme:
         listed = set(re.findall(r"`(--[\w-]+)", flag_list))
         declared = {flag for command in subcommands().values() for flag in flags_of(command)}
         assert declared | {"--config"} <= listed
+
+
+#: Runs ``hrsync.cli.main(argv)`` as on two cores, logging from every process
+#: that integrates or reduces a window whether numpy is imported there, then
+#: prints the caller's pid, exit code and numpy flag as JSON.
+NO_NUMPY_SCRIPT = """
+import json, os, sys
+import hrsync
+from hrsync import analysis, cli, sim
+
+log, argv = sys.argv[1], sys.argv[2:]
+
+def logged(fn):
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps([os.getpid(), "numpy" in sys.modules]) + "\\n")
+    return call
+
+sim._integrate = logged(sim._integrate)
+analysis.sync_rms = logged(analysis.sync_rms)
+os.cpu_count = lambda: 2
+code = cli.main(argv)
+print(json.dumps([os.getpid(), code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (("isolated", "--t-end", "5", "--plot"), False),
+    (("pair", "--t-end", "50", "--plot"), True),  # 5001 rows: the child integrates
+    (("sweep", "--K-list", "0,1", "--t-end", "20", "--adapt-at", "10"), True),  # pool
+])
+def test_cli_never_imports_numpy(tmp_path, argv, forks):
+    log = tmp_path / "log.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(log), *argv, "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    caller, code, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, numpy_loaded) == (0, False)
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert records and not any(loaded for _, loaded in records)
+    assert any(pid != caller for pid, _ in records) == forks

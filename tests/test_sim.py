@@ -291,7 +291,7 @@ class Blocks(Sink):
         self.blocks = []
 
     def put(self, block):
-        self.blocks.append(block.copy())
+        self.blocks.append(np.array(block))
 
 
 class TestSinks:
