@@ -26,7 +26,16 @@ from itertools import accumulate
 from operator import add, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .sim import BLOCK_ROWS, Collector, DivergenceError, PairConfig, SimSpec, Trajectory, run_pair
+from .sim import (
+    BLOCK_ROWS,
+    Collector,
+    DivergenceError,
+    PairConfig,
+    SimSpec,
+    Sink,
+    Trajectory,
+    run_pair,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,7 +138,7 @@ def _squared_errors(total: float, x1, y1, z1, w1, x2, y2, z2, w2) -> float:
     return total
 
 
-def _window(rows: Collector, t0: float, t1: float):
+def _window(rows: _WindowRows, t0: float, t1: float):
     """Column getter of the pair rows of ``rows`` with ``t0 <= t <= t1``:
     ``column(c)`` is a strided ``memoryview`` of column ``c``. The rows are
     in time order, so they are one run, found by bisection."""
@@ -141,17 +150,16 @@ def _window(rows: Collector, t0: float, t1: float):
     return lambda c: flat[lo * 14 + c : hi * 14 : 14]
 
 
-def sync_rms(trajectory: Trajectory | Collector, t0: float, t1: float) -> float:
+def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     """Root-mean-square of the full-state error norm over ``t in [t0, t1]``.
 
-    ``trajectory`` is a pair's :class:`Trajectory`, or a :class:`Collector`
-    of its rows in time order. The error norm is Euclidean over all four
-    components, so this measures identical (full-state) synchrony, not just
-    membrane-potential agreement.
+    The error norm is Euclidean over all four components, so this measures
+    identical (full-state) synchrony, not just membrane-potential agreement.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    if isinstance(trajectory, Collector):
+    # the sweep's window rows, read without numpy
+    if isinstance(trajectory, _WindowRows):
         column = _window(trajectory, t0, t1)
         return math.sqrt(_squared_errors(0.0, *map(column, range(1, 9))) / len(column(0)))
     import numpy as np
@@ -197,7 +205,7 @@ class _WindowRows(Collector):
 
     def put(self, block: memoryview) -> None:
         # times increase, so each window's rows are one run of the block
-        t = block.cast("B").cast("d")[:: block.shape[1]]
+        t = Sink.column(block, 0)
         end = 0
         for lo, hi in self.windows:
             first = max(bisect_left(t, lo), end)  # a row on two windows is kept once

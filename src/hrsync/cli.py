@@ -250,13 +250,11 @@ class _Outputs(ExitStack):
 
 
 class _ColumnWriter(Sink):
-    """Writes each block of rows to CSV handles, whole or as the picked
-    columns, and keeps the ``kept`` columns whole for plotting."""
+    """Writes picked columns of each block of rows to CSV handles, and keeps
+    the ``kept`` columns whole for plotting."""
 
     def __init__(self, outputs, kept=()):
-        # picks None: every column, as the rows come
-        self.outputs = [(handle, None if picks is None else itemgetter(*picks))
-                        for handle, picks in outputs]
+        self.outputs = [(handle, itemgetter(*picks)) for handle, picks in outputs]
         self.kept = {column: array("d") for column in kept}
 
     def put(self, block: memoryview) -> None:
@@ -264,11 +262,10 @@ class _ColumnWriter(Sink):
         # line by line: a block's text would double the memory of its rows
         for handle, pick in self.outputs:
             write = handle.write
-            for row in map(pick, rows) if pick else rows:
+            for row in map(pick, rows):
                 write(",".join(map(repr, row)) + "\n")
-        flat, width = block.cast("B").cast("d"), block.shape[1]
         for column, series in self.kept.items():
-            series.extend(flat[column::width])
+            series.extend(Sink.column(block, column))
 
 
 def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
@@ -296,12 +293,12 @@ class _PairWriter(Sink):
         self.plotted = [(array("d"), array("d")) for _ in range(3)] if plot else []
 
     def put(self, block: memoryview) -> None:
-        n, flat = len(block), block.cast("B").cast("d")
-        averages = [mean.push(flat[column::14].tolist()) if mean else []
-                    for mean, column in zip(self.means, (12, 13))]
+        n, column = len(block), Sink.column
+        averages = [mean.push(column(block, c).tolist()) if mean else []
+                    for mean, c in zip(self.means, (12, 13))]
         # each average starts once its window is full
-        for (times, values), new in zip(self.plotted, (flat[9::14].tolist(), *averages)):
-            times.extend(flat[(n - len(new)) * 14::14])
+        for (times, values), new in zip(self.plotted, (column(block, 9).tolist(), *averages)):
+            times.extend(column(block, 0, n - len(new)))
             values.extend(new)
         cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
         write = self.handle.write
@@ -319,7 +316,7 @@ def cmd_isolated(cfg: RunConfig, outputs: _Outputs) -> None:
     spec = cfg.sim_spec()
     params = _neuron_params(cfg.i1, cfg.pre_overrides)
     out = Path(cfg.out or "isolated.csv")
-    handles = [(outputs.open(out, "t,x,y,z,w,H,Hdot"), None)]
+    handles = [(outputs.open(out, "t,x,y,z,w,H,Hdot"), range(7))]
     if cfg.plot:
         # opened before the run, as in ``pair``, so that a bad chart path fails early
         chart = outputs.open(out.with_suffix(".svg"))

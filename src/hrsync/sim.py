@@ -248,10 +248,9 @@ class Sink:
 
     The run calls :meth:`put` once per :data:`BLOCK_ROWS` recorded rows (the
     last block may be shorter) with a fresh read-only ``memoryview`` of
-    float64, cast to shape ``(n, width)``: its ``len()`` is ``n`` and its
-    ``tolist()`` gives the rows, and ``block.cast("B").cast("d")`` is the
-    flat buffer, whose slice ``[c::width]`` is column ``c``. A row is the
-    run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
+    float64, cast to shape ``(n, width)``: its ``len()`` is ``n``, its
+    ``tolist()`` gives the rows, and :meth:`column` gives a column. A row is
+    the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
     ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
     ``len()`` is the number of rows handed over so far. A run that stops
     with :class:`DivergenceError` does not hand over its last partial block.
@@ -266,6 +265,13 @@ class Sink:
 
     def put(self, block: memoryview) -> None:
         raise NotImplementedError
+
+    @staticmethod
+    def column(block: memoryview, c: int, start: int = 0) -> memoryview:
+        """Column ``c`` of ``block`` from row ``start`` on, as a strided 1-D
+        view of its floats."""
+        width = block.shape[1]
+        return block.cast("B").cast("d")[start * width + c :: width]
 
 
 class Collector(Sink):
