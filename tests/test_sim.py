@@ -328,6 +328,22 @@ class TestSinks:
         assert block.tolist() == np.column_stack(
             (run.t, run.pre, run.H_pre, run.Hdot_pre)).tolist()
 
+    def test_column_is_a_column_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 7)
+        blocks = run_pair(SimSpec(dt=0.01, t_end=0.2), REFERENCE_CONFIG, Blocks()).blocks
+        columns = []
+
+        class Columns(Sink):
+            def put(self, block):
+                columns.append([[Sink.column(block, c, start).tolist() for c in range(14)]
+                                for start in range(len(block) + 1)])
+
+        run_pair(SimSpec(dt=0.01, t_end=0.2), REFERENCE_CONFIG, Columns())
+        assert len(blocks) == len(columns) == 3
+        for block, picked in zip(blocks, columns):
+            assert picked == [[block[start:, c].tolist() for c in range(14)]
+                              for start in range(len(block) + 1)]
+
     def test_divergence_hands_over_no_partial_block(self, monkeypatch):
         monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
         config = replace(REFERENCE_CONFIG, K=1e6)
