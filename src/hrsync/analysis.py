@@ -7,11 +7,12 @@ per-coupling-strength summaries comparing the regimes before and after the
 structural adaptation kicks in.
 
 The reductions that the command line runs, :class:`TrailingMean` and the
-sweep's window statistics, are plain Python over floats, so they import no
-numpy. They keep numpy's bits: the trailing means continue one sequential
-running sum like ``np.cumsum``, and a window mean follows the order of
-numpy's pairwise sum. :func:`windowed_average` and :func:`sync_rms` of a
-:class:`Trajectory` take and give numpy arrays and import numpy.
+window statistics, are plain Python over floats. They keep the bits of
+``np.cumsum`` and ``np.mean``: the trailing means continue one sequential
+running sum, and a window mean follows the order of the pairwise sum of
+``np.mean``. :func:`sync_rms` reads a :class:`Trajectory`'s columns as
+``memoryview`` objects, without copying them; only :func:`windowed_average`
+takes and gives ``np.ndarray`` objects.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .sim import (
-    BLOCK_ROWS,
     Collector,
     DivergenceError,
     PairConfig,
@@ -129,7 +129,7 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
 def _squared_errors(total: float, x1, y1, z1, w1, x2, y2, z2, w2) -> float:
     """``total`` plus the squared error norm of each row, given the columns
     of both states as iterables of floats."""
-    # libm pow (``**``) can differ from numpy's square in the last bit, and the
+    # libm pow (``**``) can differ from ``np.square`` in the last bit, and the
     # summary reaches the CSV: float arithmetic, left to right (builtin sum()
     # compensates from Python 3.12 on)
     for e0, e1, e2, e3 in zip(map(sub, x2, x1), map(sub, y2, y1), map(sub, z2, z1),
@@ -138,16 +138,21 @@ def _squared_errors(total: float, x1, y1, z1, w1, x2, y2, z2, w2) -> float:
     return total
 
 
-def _window(rows: _WindowRows, t0: float, t1: float):
-    """Column getter of the pair rows of ``rows`` with ``t0 <= t <= t1``:
-    ``column(c)`` is a strided ``memoryview`` of column ``c``. The rows are
-    in time order, so they are one run, found by bisection."""
-    flat = memoryview(rows.data)
-    t = flat[::14]
-    lo, hi = bisect_left(t, t0), bisect_right(t, t1)
+def _window(run: Trajectory | _WindowRows, t0: float, t1: float) -> list[memoryview]:
+    """The columns ``t, *pre, *post, H_post, Hdot_post`` of the rows of
+    ``run`` with ``t0 <= t <= t1``, as 1-D float ``memoryview`` objects that
+    copy nothing. The times increase, so the rows are one run, found by
+    bisection."""
+    if isinstance(run, _WindowRows):
+        flat = memoryview(run.data)
+        columns = [flat[c::14] for c in (*range(9), 12, 13)]
+    else:
+        columns = [memoryview(a) for a in (run.t, *run.pre.T, *run.post.T, run.H_post,
+                                           run.Hdot_post)]
+    lo, hi = bisect_left(columns[0], t0), bisect_right(columns[0], t1)
     if lo == hi:
         raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
-    return lambda c: flat[lo * 14 + c : hi * 14 : 14]
+    return [column[lo:hi] for column in columns]
 
 
 def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
@@ -155,25 +160,12 @@ def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
 
     The error norm is Euclidean over all four components, so this measures
     identical (full-state) synchrony, not just membrane-potential agreement.
+    The trajectory's times must increase, as every run's do.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    # the sweep's window rows, read without numpy
-    if isinstance(trajectory, _WindowRows):
-        column = _window(trajectory, t0, t1)
-        return math.sqrt(_squared_errors(0.0, *map(column, range(1, 9))) / len(column(0)))
-    import numpy as np
-
-    t = trajectory.t
-    rows = np.flatnonzero((t >= t0) & (t <= t1))
-    if not len(rows):
-        raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
-    total = 0.0
-    # one block of Python floats at a time, one sum across the blocks
-    for block in np.split(rows, range(BLOCK_ROWS, len(rows), BLOCK_ROWS)):
-        pre, post = trajectory.pre[block].T.tolist(), trajectory.post[block].T.tolist()
-        total = _squared_errors(total, *pre, *post)
-    return math.sqrt(total / len(rows))
+    t, *states, _, _ = _window(trajectory, t0, t1)
+    return math.sqrt(_squared_errors(0.0, *states) / len(t))
 
 
 @dataclass(frozen=True)
@@ -214,10 +206,10 @@ class _WindowRows(Collector):
                 super().put(block[first:end])
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum of ``values`` in the order of numpy's pairwise summation: eight
-    accumulators over up to 128 values, and above that the sums of two
-    halves split at a multiple of 8."""
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum of ``values`` in the order of ``np.add.reduce``'s pairwise
+    summation: eight accumulators over up to 128 values, and above that the
+    sums of two halves split at a multiple of 8."""
     n = len(values)
     if n < 8:
         return reduce(add, values)
@@ -231,8 +223,8 @@ def _pairwise_sum(values: list[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def _mean(values: list[float]) -> float:
-    """``np.mean`` of the floats ``values``, bit for bit: numpy adds their
+def _mean(values: Sequence[float]) -> float:
+    """``np.mean`` of the floats ``values``, bit for bit: it adds their
     pairwise sum to the identity 0.0, then divides by the count."""
     return (0.0 + _pairwise_sum(values)) / len(values)
 
@@ -245,8 +237,8 @@ def _sweep_one(
 ) -> SweepSummary:
     try:
         rows = run_pair(spec, config, _WindowRows(pre_window, post_window))
-        means = [_mean(_window(rows, *window)(column).tolist())
-                 for window in (pre_window, post_window) for column in (12, 13)]
+        means = [_mean(column) for window in (pre_window, post_window)
+                 for column in _window(rows, *window)[9:]]
         # sync_rms follows the run: perfbench's tracer writes a pool worker's
         # sample count only when a traced call ends after the run's
         return SweepSummary(config.K, *means, sync_rms(rows, *pre_window),

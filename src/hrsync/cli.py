@@ -285,20 +285,19 @@ def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
 class _PairWriter(Sink):
     """Writes each block of pair rows as CSV with the state error norm and
     the trailing averages of the receiver's energy and its derivative; with
-    ``plot`` it keeps ``(times, values)`` of the current and each average."""
+    ``plot`` it keeps the times, the current and each average. An average
+    starts once its window is full, so it belongs to the last times."""
 
     def __init__(self, handle, spec: SimSpec, plot: bool):
         self.handle = handle
         self.means = [_trailing_mean(spec, window) for window in (H_WINDOW, HDOT_WINDOW)]
-        self.plotted = [(array("d"), array("d")) for _ in range(3)] if plot else []
+        self.plotted = [array("d") for _ in range(4)] if plot else []
 
     def put(self, block: memoryview) -> None:
         n, column = len(block), Sink.column
         averages = [mean.push(column(block, c).tolist()) if mean else []
                     for mean, c in zip(self.means, (12, 13))]
-        # each average starts once its window is full
-        for (times, values), new in zip(self.plotted, (column(block, 9).tolist(), *averages)):
-            times.extend(column(block, 0, n - len(new)))
+        for values, new in zip(self.plotted, (column(block, 0), column(block, 9), *averages)):
             values.extend(new)
         cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
         write = self.handle.write
@@ -347,10 +346,10 @@ def cmd_pair(cfg: RunConfig, outputs: _Outputs) -> None:
     writer = run_pair(spec, config, _PairWriter(handle, spec, cfg.plot))
 
     if cfg.plot:
-        (t, q), *averages = writer.plotted
+        t, q, *averages = writer.plotted
         panels = [
-            Panel(title, "t", ylabel).add(label, times, values)
-            for (title, ylabel, label), (times, values) in zip(
+            Panel(title, "t", ylabel).add(label, t[len(t) - len(values):], values)
+            for (title, ylabel, label), values in zip(
                 (
                     ("receiving-neuron energy, 10-unit average", "H2", "avgH2_w10"),
                     ("receiving-neuron energy derivative, 5-unit average", "Hdot2", "avgHdot2_w5"),
@@ -369,6 +368,10 @@ def cmd_sweep(cfg: RunConfig, outputs: _Outputs) -> None:
     if not 0 < cfg.adapt_at < cfg.t_end:
         raise ConfigError(f"sweep needs 0 < adapt_at < t_end, got adapt_at = {cfg.adapt_at:g}"
                           f" and t_end = {cfg.t_end:g}")
+    # opened before the runs, so that a bad output path fails early; the chart
+    # is opened after them, since none is written when every run diverged
+    out = Path(cfg.out or "sweep.csv")
+    handle = outputs.open(out, "K,preH,preHdot,postH,postHdot,preSync,postSync")
     # windows: the second half of the run before the switch, and of the rest
     summaries = sweep_K(
         cfg.k_list,
@@ -377,8 +380,6 @@ def cmd_sweep(cfg: RunConfig, outputs: _Outputs) -> None:
         pre_window=(cfg.adapt_at / 2, cfg.adapt_at),
         post_window=((cfg.t_end + cfg.adapt_at) / 2, cfg.t_end),
     )
-    out = Path(cfg.out or "sweep.csv")
-    handle = outputs.open(out, "K,preH,preHdot,postH,postHdot,preSync,postSync")
     for s in summaries:
         # the fields but ``error`` are the columns, in order
         cells = [repr(float(v)) for v in astuple(s)[:-1]]

@@ -267,11 +267,10 @@ class Sink:
         raise NotImplementedError
 
     @staticmethod
-    def column(block: memoryview, c: int, start: int = 0) -> memoryview:
-        """Column ``c`` of ``block`` from row ``start`` on, as a strided 1-D
-        view of its floats."""
-        width = block.shape[1]
-        return block.cast("B").cast("d")[start * width + c :: width]
+    def column(block: memoryview, c: int) -> memoryview:
+        """Column ``c`` of ``block`` as a strided 1-D view of its floats,
+        copying nothing."""
+        return block.cast("B").cast("d")[c :: block.shape[1]]
 
 
 class Collector(Sink):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from operator import sub
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hrsync.analysis import (
     windowed_average,
 )
 from hrsync.model import NeuronParams
-from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, Trajectory, run_pair
+from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, Trajectory, run_isolated, run_pair
 
 CANON = NeuronParams.canonical(I=3.024)
 QUIET = NeuronParams.canonical(I=0.85)
@@ -120,6 +122,26 @@ class TestWindowedAverage:
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+#: the receiver's states of a three-row run whose squared error norms are
+#: 1e16, 1 and 1
+LEFT_TO_RIGHT_POST = np.array([[1e8, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0.0]])
+
+
+def old_sync_rms(trajectory, t0, t1):
+    """The numpy form of :func:`sync_rms` before it read its window by
+    bisection, a mask and blocks of 4096 rows: the oracle of its bits."""
+    t = trajectory.t
+    rows = np.flatnonzero((t >= t0) & (t <= t1))
+    total = 0.0
+    for block in np.split(rows, range(4096, len(rows), 4096)):
+        pre, post = trajectory.pre[block].T.tolist(), trajectory.post[block].T.tolist()
+        (x1, y1, z1, w1), (x2, y2, z2, w2) = pre, post
+        for e0, e1, e2, e3 in zip(map(sub, x2, x1), map(sub, y2, y1), map(sub, z2, z1),
+                                  map(sub, w2, w1)):
+            total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
+    return math.sqrt(total / len(rows))
+
+
 class TestSyncRms:
     def test_identical_trajectories(self):
         run = fake_run([t * 0.1 for t in range(100)])
@@ -136,17 +158,43 @@ class TestSyncRms:
     def test_sum_is_left_to_right(self):
         # squared norms 1e16, 1, 1: a plain float sum gives 1e16, the
         # compensated builtin sum() of Python 3.12 on gives 1e16 + 2
-        run = fake_run([0.0, 1.0, 2.0])
-        run = dataclasses.replace(run, post=np.array([[1e8, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0.0]]))
+        run = dataclasses.replace(fake_run([0.0, 1.0, 2.0]), post=LEFT_TO_RIGHT_POST)
         assert sync_rms(run, 0.0, 2.0) == math.sqrt(1e16 / 3)
 
-    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
-        # the errors are summed a block at a time, one sum across the blocks
-        run = run_pair(SimSpec(dt=0.01, t_end=20.0), REFERENCE_CONFIG)
-        want = sync_rms(run, 5.0, 15.0)
-        for rows in (1, 7, 1000, 1001):
-            monkeypatch.setattr(analysis, "BLOCK_ROWS", rows)
-            assert sync_rms(run, 5.0, 15.0) == want
+    @pytest.mark.parametrize("window", [(5.0, 45.0), (5.005, 44.995), (0.0, 60.0),
+                                        (6.995, 7.005)],
+                             ids=["on-samples", "between-samples", "every-row", "one-row"])
+    def test_pair_trajectory_gives_the_bits_of_the_numpy_form(self, window):
+        run = run_pair(SimSpec(dt=0.01, t_end=60.0), REFERENCE_CONFIG)
+        assert sync_rms(run, *window) == old_sync_rms(run, *window)
+
+    def test_other_trajectories_give_the_bits_of_the_numpy_form(self):
+        run = run_isolated(SimSpec(dt=0.01, t_end=5.0), CANON)
+        assert sync_rms(run, 1.0, 4.0) == old_sync_rms(run, 1.0, 4.0)
+        run = dataclasses.replace(fake_run([0.0, 1.0, 2.0]), post=LEFT_TO_RIGHT_POST)
+        assert sync_rms(run, 0.0, 2.0) == old_sync_rms(run, 0.0, 2.0)
+
+    def test_window_rows_give_the_bits_of_the_numpy_form(self):
+        windows = ((5.0, 25.005), (30.0, 60.0))
+        rows = run_pair(SimSpec(dt=0.01, t_end=60.0), REFERENCE_CONFIG,
+                        analysis._WindowRows(*windows))
+        run = Trajectory.of_pair_rows(rows.table(14))
+        for window in windows:
+            assert sync_rms(rows, *window) == old_sync_rms(run, *window)
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # 30001 rows; a copy of one column alone would take 234 KiB
+        rows = run_pair(SimSpec(dt=0.01, t_end=400.0), REFERENCE_CONFIG,
+                        analysis._WindowRows((50.0, 350.0)))
+        run = Trajectory.of_pair_rows(rows.table(14))
+        for source in (run, rows):
+            tracemalloc.start()
+            try:
+                sync_rms(source, 50.0, 350.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, type(source).__name__
 
     def test_usage_errors(self):
         run = fake_run([t * 1.0 for t in range(5)])
@@ -306,6 +354,14 @@ class TestPureReductionsKeepNumpysBits:
         mask = (run.t >= 50.0) & (run.t <= 100.0)
         for column in (run.H_post, run.Hdot_post):
             assert analysis._mean(column[mask].tolist()) == column[mask].mean()
+
+    def test_mean_of_a_strided_memoryview(self):
+        # the sweep's window means read the kept rows' columns in place
+        rows = run_pair(SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG, sim.Collector())
+        table, flat = rows.table(14), memoryview(rows.data)
+        for c in (0, 9, 12, 13):
+            assert analysis._mean(flat[c::14]) == table[:, c].mean()
+            assert analysis._mean(flat[c::14][5000:15001]) == table[5000:15001, c].mean()
 
     def test_mean_of_signed_zeros(self):
         for v in ([-0.0], [-0.0] * 9, [-0.0] * 200, [1.0, -1.0, -0.0]):

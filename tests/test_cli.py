@@ -232,6 +232,20 @@ class TestSweep:
         assert "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_output_that_is_a_directory_exits_4_before_any_run(self, tmp_path, monkeypatch,
+                                                               capsys):
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return sim.run_pair(*args)
+
+        monkeypatch.setattr(analysis, "run_pair", counted)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)  # runs in process, counted
+        assert main(["sweep", "--K-list", "0,1", "--out", str(tmp_path)]) == 4
+        assert "is a directory" in capsys.readouterr().err
+        assert runs == []
+
     def test_empty_k_list_exits_2(self, tmp_path):
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2

@@ -335,14 +335,12 @@ class TestSinks:
 
         class Columns(Sink):
             def put(self, block):
-                columns.append([[Sink.column(block, c, start).tolist() for c in range(14)]
-                                for start in range(len(block) + 1)])
+                columns.append([Sink.column(block, c).tolist() for c in range(14)])
 
         run_pair(SimSpec(dt=0.01, t_end=0.2), REFERENCE_CONFIG, Columns())
         assert len(blocks) == len(columns) == 3
         for block, picked in zip(blocks, columns):
-            assert picked == [[block[start:, c].tolist() for c in range(14)]
-                              for start in range(len(block) + 1)]
+            assert picked == [block[:, c].tolist() for c in range(14)]
 
     def test_divergence_hands_over_no_partial_block(self, monkeypatch):
         monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
