@@ -12,7 +12,9 @@ window statistics, are plain Python over floats. They keep the bits of
 running sum, and a window mean follows the order of the pairwise sum of
 ``np.mean``. :func:`sync_rms` reads a :class:`Trajectory`'s columns as
 ``memoryview`` objects, without copying them; only :func:`windowed_average`
-takes and gives ``np.ndarray`` objects.
+takes and gives ``np.ndarray`` objects. ``_squared_errors`` yields each
+row's squared state error norm: :func:`sync_rms` totals them left to right,
+and ``pair``'s writer takes the root of each.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate
@@ -126,16 +127,15 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
     return WindowedSeries(times=times[mean.k - 1 :].copy(), values=avg, window=window)
 
 
-def _squared_errors(total: float, x1, y1, z1, w1, x2, y2, z2, w2) -> float:
-    """``total`` plus the squared error norm of each row, given the columns
-    of both states as iterables of floats."""
+def _squared_errors(x1, y1, z1, w1, x2, y2, z2, w2):
+    """The squared error norm of each row, given the columns of both states
+    as iterables of floats. It is the one place that squares the error:
+    ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and ``postSync`` read it."""
     # libm pow (``**``) can differ from ``np.square`` in the last bit, and the
-    # summary reaches the CSV: float arithmetic, left to right (builtin sum()
-    # compensates from Python 3.12 on)
+    # norms reach the CSVs
     for e0, e1, e2, e3 in zip(map(sub, x2, x1), map(sub, y2, y1), map(sub, z2, z1),
                               map(sub, w2, w1)):
-        total += e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
-    return total
+        yield e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
 
 
 def _window(run: Trajectory | _WindowRows, t0: float, t1: float) -> list[memoryview]:
@@ -165,7 +165,8 @@ def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     t, *states, _, _ = _window(trajectory, t0, t1)
-    return math.sqrt(_squared_errors(0.0, *states) / len(t))
+    # float arithmetic, left to right: builtin sum() compensates from Python 3.12 on
+    return math.sqrt(reduce(add, _squared_errors(*states), 0.0) / len(t))
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,8 @@ def sweep_K(
     workers = min(os.cpu_count() or 1, len(configs))
     if workers <= 1:
         return [work(c) for c in configs]
+    from concurrent.futures import ProcessPoolExecutor  # here, since no other command needs it
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, configs))

@@ -19,11 +19,12 @@ both forms parse and fail alike; its help shows the default of
 (UTF-8, LF line endings, shortest round-trip float formatting) and is
 byte-identical across repeated invocations of the same configuration on a
 given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
-``postSync`` square with Python's ``**``, which calls libm ``pow``, so their
-bytes hold for a given libm build; sums run left to right, so they do not
-depend on the Python version. ``sweep.csv``'s window means add in the order
-of numpy's pairwise sum, so they keep the bits ``np.mean`` gave, but no
-command imports numpy. Every file, SVG included, is written as
+``postSync`` square with Python's ``**`` in one function,
+``analysis._squared_errors``. It calls libm ``pow``, so their bytes hold for
+a given libm build; sums run left to right, so they do not depend on the
+Python version. ``sweep.csv``'s window means add in the order of numpy's
+pairwise sum, so they keep the bits ``np.mean`` gave, but no command
+imports numpy. Every file, SVG included, is written as
 ``<path>.part``, renamed into place if the command succeeds, else deleted.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
@@ -43,8 +44,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO, get_type_hints
 
-from .analysis import TrailingMean, sweep_K
-from .model import NeuronParams, NeuronState
+from .analysis import TrailingMean, _squared_errors, sweep_K
+from .model import PARAM_INDEX, NeuronParams, NeuronState
 from .sim import AdaptationSpec, DivergenceError, PairConfig, SimSpec, Sink, run_isolated, run_pair
 from .svgplot import Panel, write_chart
 
@@ -89,9 +90,6 @@ def _parse_state(text: str) -> NeuronState:
     return NeuronState(*values)
 
 
-_PARAM_FIELDS = tuple(f.name for f in dc_fields(NeuronParams))
-
-
 def _neuron_params(current: float, overrides: dict[str, float]) -> NeuronParams:
     return replace(NeuronParams.canonical(I=current), **overrides)
 
@@ -123,7 +121,7 @@ class RunConfig:
         """Set one setting from its text, as a config line or a flag gives it."""
         side, dot, name = key.partition(".")
         if dot and side in ("pre", "post"):
-            if name not in _PARAM_FIELDS:
+            if name not in PARAM_INDEX:
                 raise ConfigError(f"unknown neuron parameter in key {key!r}")
             convert = float
         elif key in _KEY_PARSERS:
@@ -300,11 +298,11 @@ class _PairWriter(Sink):
         for values, new in zip(self.plotted, (column(block, 0), column(block, 9), *averages)):
             values.extend(new)
         cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
+        norms = map(math.sqrt, _squared_errors(*(column(block, c) for c in range(1, 9))))
         write = self.handle.write
-        for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), aH, aHd in zip(
-            block.tolist(), *cells
+        for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), e_norm, aH, aHd in zip(
+            block.tolist(), norms, *cells
         ):
-            e_norm = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2 + (w2 - w1) ** 2)
             write(
                 f"{ti!r},{x1!r},{y1!r},{z1!r},{w1!r},{x2!r},{y2!r},{z2!r},{w2!r},{q!r},"
                 f"{e_norm!r},{H1!r},{Hd1!r},{H2!r},{Hd2!r},{aH},{aHd}\n"

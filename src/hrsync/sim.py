@@ -527,7 +527,6 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     blocks to ``sink`` in order. The child then sends the exception that
     stopped its run, or None, and this process raises it.
     """
-    import multiprocessing
     import os
 
     if sink is None:
@@ -544,6 +543,7 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
         integrate(hand)
         return sink
     import fcntl
+    import multiprocessing
     import signal
 
     reader, writer = multiprocessing.Pipe(duplex=False)

@@ -38,14 +38,22 @@ class Panel:
         return self
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+def _text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -> str:
+    """A ``<text>`` element with ``body`` escaped, no ``text-anchor`` when
+    ``anchor`` is empty, and the ``extra`` attributes last."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{body}</text>')
 
 
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / max(target_ticks, 1)
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"/>')
+
+
+def _nice_step(span: float) -> float:
+    raw = span / 5
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * magnitude:
@@ -56,8 +64,6 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
 def _ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return []
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     out = []
@@ -129,50 +135,27 @@ def write_chart(handle: TextIO, panels: Sequence[Panel]) -> None:
 
         for tick in _ticks(y_lo, y_hi):
             y = py(tick)
-            out.append(
-                f'<line x1="{margin_left}" y1="{y:.2f}" x2="{margin_left + plot_w}" '
-                f'y2="{y:.2f}" stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{margin_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                f'font-size="12" font-family="sans-serif">{_fmt_tick(tick)}</text>'
-            )
+            out.append(_line(margin_left, f"{y:.2f}", margin_left + plot_w, f"{y:.2f}",
+                             "#e0e0e0", 1))
+            out.append(_text(margin_left - 8, f"{y + 4:.2f}", 12, _fmt_tick(tick), "end"))
         for tick in _ticks(x_lo, x_hi):
-            x = px(tick)
-            out.append(
-                f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" '
-                'stroke="#000" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{x:.2f}" y="{bottom + 20}" text-anchor="middle" '
-                f'font-size="12" font-family="sans-serif">{_fmt_tick(tick)}</text>'
-            )
+            x = f"{px(tick):.2f}"
+            out.append(_line(x, bottom, x, bottom + 5, "#000", 1))
+            out.append(_text(x, bottom + 20, 12, _fmt_tick(tick)))
 
         out.append(
             f'<rect x="{margin_left}" y="{top}" width="{plot_w}" height="{plot_h}" '
             'fill="none" stroke="#000" stroke-width="1"/>'
         )
+        centre = f"{margin_left + plot_w / 2:.1f}"
         if panel.title:
-            out.append(
-                f'<text x="{margin_left + plot_w / 2:.1f}" y="{top - 10}" '
-                'text-anchor="middle" font-size="15" font-family="sans-serif">'
-                f"{_escape(panel.title)}</text>"
-            )
+            out.append(_text(centre, top - 10, 15, panel.title))
         if panel.xlabel:
-            out.append(
-                f'<text x="{margin_left + plot_w / 2:.1f}" y="{bottom + 36}" '
-                'text-anchor="middle" font-size="13" font-family="sans-serif">'
-                f"{_escape(panel.xlabel)}</text>"
-            )
+            out.append(_text(centre, bottom + 36, 13, panel.xlabel))
         if panel.ylabel:
-            x_label = 18
-            y_label = top + plot_h / 2
-            out.append(
-                f'<text x="{x_label}" y="{y_label:.1f}" text-anchor="middle" '
-                f'font-size="13" font-family="sans-serif" '
-                f'transform="rotate(-90 {x_label} {y_label:.1f})">'
-                f"{_escape(panel.ylabel)}</text>"
-            )
+            y_label = f"{top + plot_h / 2:.1f}"
+            out.append(_text(18, y_label, 13, panel.ylabel,
+                             extra=f' transform="rotate(-90 18 {y_label})"'))
 
         for s_index, ((label, _, _), (xs, ys)) in enumerate(zip(panel.series, data)):
             color = _COLORS[s_index % len(_COLORS)]
@@ -188,14 +171,8 @@ def write_chart(handle: TextIO, panels: Sequence[Panel]) -> None:
             if len(panel.series) > 1 and label:
                 lx = margin_left + plot_w - 150
                 ly = top + 16 + 16 * s_index
-                out.append(
-                    f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 20}" y2="{ly - 4}" '
-                    f'stroke="{color}" stroke-width="2"/>'
-                )
-                out.append(
-                    f'<text x="{lx + 26}" y="{ly}" font-size="12" '
-                    f'font-family="sans-serif">{_escape(label)}</text>'
-                )
+                out.append(_line(lx, ly - 4, lx + 20, ly - 4, color, 2))
+                out.append(_text(lx + 26, ly, 12, label, ""))
 
     out.append("</svg>")
     handle.write("\n".join(out) + "\n")

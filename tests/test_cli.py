@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -273,7 +274,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        # sweep_K imports the pool class when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
                 "--out", str(tmp_path / "sweep.csv")]
@@ -624,6 +626,30 @@ def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed, cores):
     assert digests == golden[name][str(seed)]
 
 
+#: sha256 of the charts that no benchmark workload writes, as ``id: (argv,
+#: sha256)``, recorded before a rewrite of the chart writer that keeps the bytes
+PINNED_SVG_SHA256 = {
+    "isolated": (
+        ("isolated", "--t-end", "20", "--plot"),
+        "ef3f0642609c6cc547e1944535f0c42f207fdc74d6a36141d6275ae41692d4bf",
+    ),
+    "sweep": (
+        ("sweep", "--K-list", "0,5", "--plot"),
+        "9b4cc646eafdbc1a4d41300d413bb776d32a6b622739457a2e6ed216bfe1c9f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, cores", on_cores({name: (name,) for name in PINNED_SVG_SHA256},
+                                                 usual=2))
+def test_chart_bytes_are_pinned(tmp_path, monkeypatch, name, cores):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    argv, digest = PINNED_SVG_SHA256[name]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.with_suffix(".svg").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("rows, cores", on_cores(
     {str(rows): (rows,) for rows in (1, 7, 499, 500, 999, 1000, 1001)}, usual=2))
 def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rows, cores):
@@ -770,7 +796,8 @@ class TestReadme:
 
 #: Runs ``hrsync.cli.main(argv)`` as on two cores, logging from every process
 #: that integrates or reduces a window whether numpy is imported there, then
-#: prints the caller's pid, exit code and numpy flag as JSON.
+#: prints the caller's pid, exit code, and whether numpy, ``multiprocessing``
+#: and ``concurrent.futures`` are imported, as JSON.
 NO_NUMPY_SCRIPT = """
 import json, os, sys
 import hrsync
@@ -791,7 +818,8 @@ sim._integrate = logged(sim._integrate)
 analysis.sync_rms = logged(analysis.sync_rms)
 os.cpu_count = lambda: 2
 code = cli.main(argv)
-print(json.dumps([os.getpid(), code, "numpy" in sys.modules]))
+print(json.dumps([os.getpid(), code, *(name in sys.modules for name in
+                                        ("numpy", "multiprocessing", "concurrent.futures"))]))
 """
 
 
@@ -807,8 +835,10 @@ def test_cli_never_imports_numpy(tmp_path, argv, forks):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    caller, code, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    caller, code, numpy_loaded, *pool_modules = json.loads(proc.stdout.splitlines()[-1])
     assert (code, numpy_loaded) == (0, False)
+    # a run in process loads neither, a forked run the pipe, the sweep its pool
+    assert pool_modules == [forks, argv[0] == "sweep"]
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert records and not any(loaded for _, loaded in records)
     assert any(pid != caller for pid, _ in records) == forks

@@ -1,5 +1,7 @@
+import io
 import math
 import tracemalloc
+import xml.etree.ElementTree as ET
 from array import array
 
 import pytest
@@ -31,3 +33,15 @@ def test_write_chart_keeps_no_copy_of_a_long_series(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < xs.itemsize * n, peak
+
+
+def test_title_labels_and_legend_are_escaped():
+    panel = Panel("a & b", "x < 1", "y > 0").add("p&q<r>", [0.0, 1.0], [0.0, 1.0])
+    panel.add("s", [0.0, 1.0], [1.0, 0.0])
+    handle = io.StringIO()
+    write_chart(handle, [panel])
+    svg = handle.getvalue()
+    for escaped in ("a &amp; b", "x &lt; 1", "y &gt; 0", "p&amp;q&lt;r&gt;"):
+        assert f">{escaped}</text>" in svg
+    texts = [e.text for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a & b", "x < 1", "y > 0", "p&q<r>"} <= set(texts)
