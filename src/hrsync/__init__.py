@@ -11,8 +11,8 @@ current removes the mismatch and with it the synchronization cost.
 The package is organized as:
 
 * :mod:`hrsync.model`    - parameters, states, the expression tables of the
-  vector field, its conservative part and the parameter sensitivities, and
-  the per-point kernels ``field`` and ``conservative``.
+  vector field, its conservative part, the sensitivities and the pair's
+  terms, and the per-point kernels ``field`` and ``conservative``.
 * :mod:`hrsync.energy`   - the energy table and its per-point kernel
   ``energy_terms``: energy, gradient, dissipative part, energy derivative.
 * :mod:`hrsync.sim`      - fixed-step integration of one neuron or the
@@ -30,8 +30,6 @@ from .sim import (
     PairConfig,
     SimSpec,
     Trajectory,
-    coupled_derivative,
-    rk4_step,
     run_isolated,
     run_pair,
 )
@@ -50,10 +48,8 @@ __all__ = [
     "Trajectory",
     "WindowedSeries",
     "conservative",
-    "coupled_derivative",
     "energy_terms",
     "field",
-    "rk4_step",
     "run_isolated",
     "run_pair",
     "sweep_K",

@@ -98,12 +98,12 @@ def _neuron_params(current: float, overrides: dict[str, float]) -> NeuronParams:
 class RunConfig:
     """Resolved settings for one invocation (defaults < config file < flags)."""
 
-    dt: float = 0.01
-    t_end: float = 200.0
-    record_every: int = 1
-    transient: float = 0.0
-    initial_pre: NeuronState = NeuronState(0.1, 0.2, 0.3, 0.1)
-    initial_post: NeuronState = NeuronState(0.0, 0.0, 0.0, 0.0)
+    dt: float = SimSpec.dt
+    t_end: float = SimSpec.t_end
+    record_every: int = SimSpec.record_every
+    transient: float = SimSpec.transient
+    initial_pre: NeuronState = SimSpec.initial_pre
+    initial_post: NeuronState = SimSpec.initial_post
     i1: float = 3.024
     i2: float = 0.85
     k: float = 5.0

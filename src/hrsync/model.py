@@ -21,8 +21,8 @@ parameter values in :class:`NeuronParams` field order
 (``dataclasses.astuple``), so an adapted parameter's live value is substituted
 at its :data:`PARAM_INDEX`. The field is linear in every parameter and
 ``d f / d q`` has a single nonzero component; :data:`SENSITIVITY_EXPR` holds
-that ``(row, expression)`` pair per adaptable parameter, and
-:data:`SENSITIVITY` its per-point form.
+that ``(row, expression)`` pair per adaptable parameter, and :data:`PAIR`
+the pair's coupling and adaptive law.
 
 All arithmetic is on dimensionless floats; the physical units quoted in the
 field docs are carried as documentation only.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache
 
 from .codegen import compile_kernel
 
@@ -41,8 +41,8 @@ __all__ = [
     "ADAPTABLE_PARAMS",
     "CONSERVATIVE",
     "FIELD",
+    "PAIR",
     "PARAM_INDEX",
-    "SENSITIVITY",
     "SENSITIVITY_EXPR",
     "NeuronParams",
     "NeuronState",
@@ -175,6 +175,21 @@ SENSITIVITY_EXPR = {
     "l": (3, "n*r"),
 }
 
+#: Parameters the adaptive law may target. ``p`` is excluded: it does not
+#: enter the vector field, so its sensitivity is identically zero.
+ADAPTABLE_PARAMS: tuple[str, ...] = tuple(SENSITIVITY_EXPR)
+
+#: The pair's coupling and adaptive law, added in this order after each
+#: neuron's :data:`FIELD`. Neuron ``j``'s names take the suffix ``_j`` (0
+#: sends, 1 receives). ``dq`` is the law for the adapted parameter's live
+#: value, with ``neg_gain = -gain``: ``sens_0`` stands for its
+#: :data:`SENSITIVITY_EXPR` at the sender and ``row_j`` for neuron ``j``'s
+#: state in that row, names no parameter has.
+PAIR = (
+    ("dx_1", "dx_1 + K*(x_0 - x_1)"),
+    ("dq", "neg_gain*sens_0*(row_1 - row_0)"),
+)
+
 #: The conservative part of the field, everywhere orthogonal to the energy
 #: gradient; the dissipative remainder is part of :data:`hrsync.energy.ENERGY`.
 CONSERVATIVE = ("a*y - d*z", "-f*x*x - g*w", "m*s*x", "n*r*y")
@@ -203,17 +218,3 @@ def conservative(x: float, y: float, z: float, w: float, P: Sequence[float]) -> 
     :data:`CONSERVATIVE`; it is everywhere orthogonal to the energy gradient."""
     return point_kernel("conservative", (), "(" + ", ".join(CONSERVATIVE) + ")")(x, y, z, w, P)
 
-
-def _sensitivity(target: str, x: float, y: float, z: float, w: float, P: Sequence[float]):
-    return point_kernel(f"d_{target}", FIELD[:1], SENSITIVITY_EXPR[target][1])(x, y, z, w, P)
-
-
-#: ``target -> (row, value(x, y, z, w, P))``, the per-point form of
-#: :data:`SENSITIVITY_EXPR`, which :func:`hrsync.sim.coupled_derivative` reads.
-SENSITIVITY = {
-    target: (row, partial(_sensitivity, target)) for target, (row, _) in SENSITIVITY_EXPR.items()
-}
-
-#: Parameters the adaptive law may target. ``p`` is excluded: it does not
-#: enter the vector field, so its sensitivity is identically zero.
-ADAPTABLE_PARAMS: tuple[str, ...] = tuple(SENSITIVITY)

@@ -18,17 +18,17 @@ sub-step event location is attempted (the switch-time error is O(dt)).
 
 Every target takes the same path. At the start of a run, the RK4 step and
 the recorded sample row are generated as straight-line Python from the
-expression tables :data:`hrsync.model.FIELD`,
+expression tables :data:`hrsync.model.FIELD`, :data:`hrsync.model.PAIR`,
 :data:`hrsync.model.SENSITIVITY_EXPR` and :data:`hrsync.energy.ENERGY`, and
 compiled (:mod:`hrsync.codegen`). The receiver's equations read the live
 value ``q`` in place of the adapted parameter. Since ``d f / d q`` has a
-single nonzero row, the law is ``dq/dt = -gain*s*e_row`` with ``(row, s)``
-from the sensitivity table. The parameters, and every constant that ``q``
-does not enter, are bound once per run. Each generated step follows the
-operation order of :func:`rk4_step` over the per-point kernels, so the two
-agree bit for bit. The energy divides by ``a`` and ``m*s``, so a run that
-adapts ``a``, ``m`` or ``s`` stops with :class:`DivergenceError` once that
-parameter reaches zero or changes sign.
+single nonzero row, ``PAIR``'s law is ``dq/dt = -gain*s*e_row`` with
+``(row, s)`` from the sensitivity table. The parameters, and every constant
+that ``q`` does not enter, are bound once per run. Each generated step
+agrees bit for bit with a hand-written RK4 step over the per-point kernels,
+which the tests keep as its reference. The energy divides by ``a`` and
+``m*s``, so a run that adapts ``a``, ``m`` or ``s`` stops with
+:class:`DivergenceError` once that parameter reaches zero or changes sign.
 
 Both the pair and the lone neuron (:func:`run_isolated`) go through one
 integration loop, which emits the recorded samples as flat blocks of floats.
@@ -56,12 +56,11 @@ from .energy import ENERGY, POLE_PARAMS
 from .model import (
     ADAPTABLE_PARAMS,
     FIELD,
+    PAIR,
     PARAM_INDEX,
-    SENSITIVITY,
     SENSITIVITY_EXPR,
     NeuronParams,
     NeuronState,
-    field,
 )
 
 if TYPE_CHECKING:
@@ -75,8 +74,6 @@ __all__ = [
     "SimSpec",
     "Sink",
     "Trajectory",
-    "coupled_derivative",
-    "rk4_step",
     "run_isolated",
     "run_pair",
 ]
@@ -292,61 +289,9 @@ class Collector(Sink):
         return table
 
 
-def rk4_step(f, state: tuple, t: float, dt: float) -> tuple:
-    """One classical fourth-order Runge-Kutta step of ``d state/dt = f(state, t)``.
-
-    ``state`` is a tuple of floats and ``f`` returns a sequence of the same
-    length; stages are passed to ``f`` as lists. Each component follows the
-    operation order of the vector form ``state + (dt/6)*(k1 + 2*(k2 + k3) + k4)``,
-    so it is bit-identical to that form evaluated on float64 arrays. Raises
-    :class:`DivergenceError` if the result is not finite. Runs use generated
-    steps with the same operation order; this is their reference.
-    """
-    half = 0.5 * dt
-    k1 = f(state, t)
-    k2 = f([s + half * k for s, k in zip(state, k1)], t + half)
-    k3 = f([s + half * k for s, k in zip(state, k2)], t + half)
-    k4 = f([s + dt * k for s, k in zip(state, k3)], t + dt)
-    sixth = dt / 6.0
-    out = tuple(
-        [s + sixth * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    )
-    if not all(map(math.isfinite, out)):
-        raise DivergenceError(t, f"non-finite state after step at t={t:g}")
-    return out
-
-
 def _target(config: PairConfig) -> str:
     """The receiver's adapted parameter; ``I`` when nothing is adapted."""
     return config.adaptation.target if config.adaptation else "I"
-
-
-def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
-    """Joint derivative of the coupled pair at time ``t``.
-
-    ``joint`` packs (pre_state, post_state, adapted parameter) as a flat
-    9-vector. The adaptation term is zero before its start time or when no
-    adaptation is configured. This is the per-point form of the pair
-    equations that :func:`run_pair` integrates with generated code.
-    """
-    import numpy as np
-
-    joint = np.asarray(joint, dtype=float)
-    if joint.shape != (9,):
-        raise ValueError(f"joint state must be a flat 9-vector, got shape {joint.shape}")
-    if not np.all(np.isfinite(joint)):
-        raise ValueError("joint state must be finite")
-    x1, y1, z1, w1, x2, y2, z2, w2, q = joint = joint.tolist()
-    target, adapt = _target(config), config.adaptation
-    P_pre, P_post = astuple(config.pre), list(astuple(config.post))
-    P_post[PARAM_INDEX[target]] = q
-    dq = 0.0
-    if adapt is not None and t >= adapt.start_time:
-        row, sens = SENSITIVITY[target]
-        dq = -adapt.gain * sens(x1, y1, z1, w1, P_pre) * (joint[4 + row] - joint[row])
-    dx2, dy2, dz2, dw2 = field(x2, y2, z2, w2, P_post)
-    d1 = field(x1, y1, z1, w1, P_pre)
-    return np.array((*d1, dx2 + config.K * (x1 - x2), dy2, dz2, dw2, dq))
 
 
 def _names(j: int, state, derivative=(), live: dict | None = None) -> dict:
@@ -368,8 +313,8 @@ def _renamed(table, names: dict) -> list[tuple[str, str]]:
 def _rk4_kernel(name: str, n: int, derivative, env: dict):
     """One RK4 step over ``S = (v0, ..., v{n-1})``, compiled as straight-line
     code. ``derivative(inputs, outputs)`` gives the assignments of the
-    derivative at a stage. Each component follows :func:`rk4_step`'s
-    operation order, so the two agree bit for bit."""
+    derivative at a stage. Each component follows the operation order of
+    ``S + (dt/6)*(k1 + 2*(k2 + k3) + k4)`` on float64 arrays."""
     v = [f"v{j}" for j in range(n)]
     body = [(", ".join(v), "S")]
     ks = []
@@ -408,7 +353,7 @@ def _lone_kernels(params: NeuronParams, dt: float):
 def _pair_kernels(config: PairConfig, dt: float):
     """``(idle, active, row)`` of the pair, generated from the tables:
     ``idle(S)`` and ``active(S)`` are one RK4 step of the joint state without
-    and with the law ``dq/dt = (-gain*s)*e_row``, and ``row(t, S)`` is the
+    and with the law, :data:`PAIR`'s ``dq`` row, and ``row(t, S)`` is the
     sample ``(t, *S, H_pre, Hdot_pre, H_post, Hdot_post)``. The receiver
     reads the live ``q`` in place of the adapted target."""
     adapt = config.adaptation
@@ -425,13 +370,13 @@ def _pair_kernels(config: PairConfig, dt: float):
     def derivative(active: bool):
         def body(u, k):
             pre, post = _names(0, u[:4], k[:4]), _names(1, u[4:8], k[4:8], {target: u[8]})
-            law = f"neg_gain*({rename(sens, pre)})*({u[4 + sens_row]} - {u[sens_row]})"
-            return [
-                *_renamed(FIELD, pre),
-                *_renamed(FIELD, post),
-                (k[4], f"{k[4]} + K*({u[0]} - {u[4]})"),
-                (k[8], law if active else "0.0"),
-            ]
+            pair = {f"{name}_{j}": local for j, names in enumerate((pre, post))
+                    for name, local in names.items()}
+            pair.update(dq=k[8], sens_0=f"({rename(sens, pre)})", row_0=u[sens_row],
+                        row_1=u[4 + sens_row])
+            coupling, (dq, law) = _renamed(PAIR, pair)
+            return [*_renamed(FIELD, pre), *_renamed(FIELD, post), coupling,
+                    (dq, law if active else "0.0")]
 
         return body
 

@@ -533,6 +533,9 @@ FLAG_AND_FILE_FORMS = [
 
 
 class TestResolution:
+    def test_grid_defaults_are_the_sim_spec_defaults(self):
+        assert RunConfig().sim_spec() == SimSpec()
+
     def test_current_flag_beats_file_override_beats_file_current(self, tmp_path):
         file_lines = ["i1 = 2.0", "pre.I = 1.0", "i2 = 0.5", "post.I = 0.7"]
         by_file = resolve(tmp_path, ["pair"], file_lines).pair_config()

@@ -7,14 +7,13 @@ import pytest
 from hrsync.energy import energy_terms
 from hrsync.model import (
     ADAPTABLE_PARAMS,
-    SENSITIVITY,
     NeuronParams,
     NeuronState,
     conservative,
     field,
 )
 
-from oracles import as_floats, dissipative_exact, field_exact, fd_param_sensitivity
+from oracles import SENSITIVITY, as_floats, dissipative_exact, field_exact, fd_param_sensitivity
 
 CANON = NeuronParams.canonical(I=3.024)
 P = astuple(CANON)
