@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .sim import (
     Collector,
+    _Child,
     DivergenceError,
     PairConfig,
     SimSpec,
@@ -240,7 +241,7 @@ def _sweep_one(
         rows = run_pair(spec, config, _WindowRows(pre_window, post_window))
         means = [_mean(column) for window in (pre_window, post_window)
                  for column in _window(rows, *window)[9:]]
-        # sync_rms follows the run: perfbench's tracer writes a pool worker's
+        # sync_rms follows the run: perfbench's tracer writes a forked child's
         # sample count only when a traced call ends after the run's
         return SweepSummary(config.K, *means, sync_rms(rows, *pre_window),
                             sync_rms(rows, *post_window))
@@ -261,10 +262,13 @@ def sweep_K(
     """One coupled run per coupling strength, summarized per window.
 
     Every run's :class:`PairConfig`, which checks its ``K``, is built before
-    any run starts. Runs are independent and execute on a process pool of
-    one worker per core, and at most one per run; a single run or core runs
-    in process. Output order matches the input order. A diverging run yields
-    a summary with its ``error`` field set; the other runs are unaffected.
+    any run starts. Runs are independent: each runs in a forked child that
+    sends back its summary, or the exception that stopped it, with at most
+    one child per core alive at once. A single run or core, or a host
+    without ``os.fork``, runs in process. Output order matches the input
+    order. A diverging run yields a summary with its ``error`` field set;
+    the other runs are unaffected. On any error here, every live child is
+    killed and reaped.
     """
     configs = [replace(config, K=float(K)) for K in k_values]
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
@@ -279,15 +283,23 @@ def sweep_K(
             )
 
     work = partial(_sweep_one, spec=spec, pre_window=pre_window, post_window=post_window)
-    # a forked pool starts all its workers up front
     workers = min(os.cpu_count() or 1, len(configs))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [work(c) for c in configs]
-    from concurrent.futures import ProcessPoolExecutor  # here, since no other command needs it
+    import select
 
+    summaries: list = [None] * len(configs)
+    waiting = list(enumerate(configs))
+    live: dict[_Child, int] = {}
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, configs))
-    except OSError:
-        # process pools can be unavailable in restricted environments
-        return [work(c) for c in configs]
+        while waiting or live:
+            while waiting and len(live) < workers:
+                index, c = waiting.pop(0)
+                live[_Child(lambda send, c=c: work(c))] = index
+            ready, _, _ = select.select(list(live), [], [])
+            child = ready[0]
+            summaries[live.pop(child)] = child.result()
+    finally:
+        for child in live:
+            child.close(kill=True)
+    return summaries

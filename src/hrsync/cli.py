@@ -24,7 +24,11 @@ given platform. ``pair``'s ``e_norm`` and ``sweep``'s ``preSync`` and
 a given libm build; sums run left to right, so they do not depend on the
 Python version. ``sweep.csv``'s window means add in the order of numpy's
 pairwise sum, so they keep the bits ``np.mean`` gave, but no command
-imports numpy. Every file, SVG included, is written as
+imports numpy. ``isolated`` and ``pair`` format each block of rows as it
+arrives, one row at a time (:meth:`hrsync.sim.Sink.rows`), and keep of
+each charted series only the points the chart draws
+(:class:`hrsync.svgplot.Thinned`), so their memory does not grow with the
+run. Every file, SVG included, is written as
 ``<path>.part``, renamed into place if the command succeeds, else deleted.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
@@ -37,9 +41,9 @@ import argparse
 import math
 import os
 import sys
-from array import array
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field, fields as dc_fields, replace
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO, get_type_hints
@@ -47,7 +51,7 @@ from typing import TextIO, get_type_hints
 from .analysis import TrailingMean, _squared_errors, sweep_K
 from .model import PARAM_INDEX, NeuronParams, NeuronState
 from .sim import AdaptationSpec, DivergenceError, PairConfig, SimSpec, Sink, run_isolated, run_pair
-from .svgplot import Panel, write_chart
+from .svgplot import Panel, Thinned, write_chart
 
 __all__ = ["main"]
 
@@ -249,21 +253,24 @@ class _Outputs(ExitStack):
 
 class _ColumnWriter(Sink):
     """Writes picked columns of each block of rows to CSV handles, and keeps
-    the ``kept`` columns whole for plotting."""
+    the drawn points of each ``(x, y)`` pair of columns in ``plotted``."""
 
-    def __init__(self, outputs, kept=()):
-        self.outputs = [(handle, itemgetter(*picks)) for handle, picks in outputs]
-        self.kept = {column: array("d") for column in kept}
+    def __init__(self, outputs, spec: SimSpec, plotted=()):
+        self.outputs = [(handle, tuple(picks)) for handle, picks in outputs]
+        n = len(spec.recorded_steps)
+        self.plotted = [(Thinned(n), columns) for columns in plotted]
 
     def put(self, block: memoryview) -> None:
-        rows = block.tolist()
-        # line by line: a block's text would double the memory of its rows
-        for handle, pick in self.outputs:
+        whole = tuple(range(block.shape[1]))
+        # row by row: a block's rows or text at once would hold many times
+        # the memory of the block
+        for handle, picks in self.outputs:
             write = handle.write
-            for row in map(pick, rows):
+            rows = Sink.rows(block)
+            for row in rows if picks == whole else map(itemgetter(*picks), rows):
                 write(",".join(map(repr, row)) + "\n")
-        for column, series in self.kept.items():
-            series.extend(Sink.column(block, column))
+        for series, (x, y) in self.plotted:
+            series.extend(Sink.column(block, x), Sink.column(block, y))
 
 
 def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
@@ -283,25 +290,33 @@ def _trailing_mean(spec: SimSpec, window: float) -> TrailingMean | None:
 class _PairWriter(Sink):
     """Writes each block of pair rows as CSV with the state error norm and
     the trailing averages of the receiver's energy and its derivative; with
-    ``plot`` it keeps the times, the current and each average. An average
-    starts once its window is full, so it belongs to the last times."""
+    ``plot`` it keeps the drawn points of the current and of each average
+    against time. An average starts once its window is full, so it belongs
+    to the last times."""
 
     def __init__(self, handle, spec: SimSpec, plot: bool):
         self.handle = handle
         self.means = [_trailing_mean(spec, window) for window in (H_WINDOW, HDOT_WINDOW)]
-        self.plotted = [array("d") for _ in range(4)] if plot else []
+        n = len(spec.recorded_steps)
+        self.plotted = [Thinned(n), *(Thinned(n - mean.k + 1) if mean else None
+                                      for mean in self.means)] if plot else []
 
     def put(self, block: memoryview) -> None:
         n, column = len(block), Sink.column
-        averages = [mean.push(column(block, c).tolist()) if mean else []
+        averages = [mean.push(column(block, c)) if mean else []
                     for mean, c in zip(self.means, (12, 13))]
-        for values, new in zip(self.plotted, (column(block, 0), column(block, 9), *averages)):
-            values.extend(new)
-        cells = [[""] * (n - len(new)) + [repr(v) for v in new] for new in averages]
+        if self.plotted:
+            t = column(block, 0)
+            current, *means = self.plotted
+            current.extend(t, column(block, 9))
+            for series, new in zip(means, averages):
+                if series:
+                    series.extend(t[n - len(new):], new)
+        cells = [chain(repeat("", n - len(new)), map(repr, new)) for new in averages]
         norms = map(math.sqrt, _squared_errors(*(column(block, c) for c in range(1, 9))))
         write = self.handle.write
         for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), e_norm, aH, aHd in zip(
-            block.tolist(), norms, *cells
+            Sink.rows(block), norms, *cells
         ):
             write(
                 f"{ti!r},{x1!r},{y1!r},{z1!r},{w1!r},{x2!r},{y2!r},{z2!r},{w2!r},{q!r},"
@@ -323,15 +338,15 @@ def cmd_isolated(cfg: RunConfig, outputs: _Outputs) -> None:
              [1 + "xyzw".index(c) for c in columns])
             for columns in ("xyz", "xyw", "xzw")
         ]
-    kept = (0, 1, 5, 6) if cfg.plot else ()
-    writer = run_isolated(spec, params, _ColumnWriter(handles, kept))
+    plotted = ((0, 1), (0, 5), (0, 6)) if cfg.plot else ()
+    writer = run_isolated(spec, params, _ColumnWriter(handles, spec, plotted))
 
     if cfg.plot:
-        t, x, H, Hdot = writer.kept.values()
+        x, H, Hdot = (series for series, _ in writer.plotted)
         write_chart(chart, [
-            Panel("action potential", "t", "x").add("x", t, x),
-            Panel("energy", "t", "H").add("H", t, H),
-            Panel("energy derivative", "t", "Hdot").add("Hdot", t, Hdot),
+            Panel("action potential", "t", "x").add_thinned("x", x),
+            Panel("energy", "t", "H").add_thinned("H", H),
+            Panel("energy derivative", "t", "Hdot").add_thinned("Hdot", Hdot),
         ])
 
 
@@ -344,10 +359,10 @@ def cmd_pair(cfg: RunConfig, outputs: _Outputs) -> None:
     writer = run_pair(spec, config, _PairWriter(handle, spec, cfg.plot))
 
     if cfg.plot:
-        t, q, *averages = writer.plotted
+        current, *averages = writer.plotted
         panels = [
-            Panel(title, "t", ylabel).add(label, t[len(t) - len(values):], values)
-            for (title, ylabel, label), values in zip(
+            Panel(title, "t", ylabel).add_thinned(label, series)
+            for (title, ylabel, label), series in zip(
                 (
                     ("receiving-neuron energy, 10-unit average", "H2", "avgH2_w10"),
                     ("receiving-neuron energy derivative, 5-unit average", "Hdot2", "avgHdot2_w5"),
@@ -355,9 +370,9 @@ def cmd_pair(cfg: RunConfig, outputs: _Outputs) -> None:
                 averages,
             )
             # an average whose window never filled has no panel
-            if values
+            if series
         ]
-        panels.append(Panel("adapted external current", "t", "I2").add("I2", t, q))
+        panels.append(Panel("adapted external current", "t", "I2").add_thinned("I2", current))
         write_chart(chart, panels)
 
 

@@ -47,6 +47,7 @@ process.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import astuple, dataclass, fields
 from typing import TYPE_CHECKING
@@ -245,23 +246,30 @@ class Sink:
 
     The run calls :meth:`put` once per :data:`BLOCK_ROWS` recorded rows (the
     last block may be shorter) with a fresh read-only ``memoryview`` of
-    float64, cast to shape ``(n, width)``: its ``len()`` is ``n``, its
-    ``tolist()`` gives the rows, and :meth:`column` gives a column. A row is
-    the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a lone neuron,
-    ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)`` for a pair.
-    ``len()`` is the number of rows handed over so far. A run that stops
+    float64, cast to shape ``(n, width)``: its ``len()`` is ``n``,
+    :meth:`rows` gives the rows one at a time, and :meth:`column` gives a
+    column. A row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a
+    lone neuron, ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
+    Hdot_post)`` for a pair. ``len()`` is the number of rows handed over so
+    far, counted in ``handed``. A run that stops
     with :class:`DivergenceError` does not hand over its last partial block.
     The rows are counted, and :meth:`put` is called, in the caller's
     process.
     """
 
-    rows = 0
+    handed = 0
 
     def __len__(self) -> int:
-        return self.rows
+        return self.handed
 
     def put(self, block: memoryview) -> None:
         raise NotImplementedError
+
+    @staticmethod
+    def rows(block: memoryview):
+        """The rows of ``block``, one tuple of floats at a time, from one
+        iterator over its floats, so no more than a row is built at once."""
+        return zip(*[iter(block.cast("B").cast("d"))] * block.shape[1])
 
     @staticmethod
     def column(block: memoryview, c: int) -> memoryview:
@@ -458,6 +466,108 @@ def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
         emit(block)
 
 
+class _Child:
+    """A forked child process that runs ``work(send)``, then sends its
+    outcome: the value ``work`` returned, or the exception that stopped it.
+
+    ``send(data)`` passes the bytes of ``data`` to this process as one
+    message, through a pipe whose capacity bounds how far the child runs
+    ahead. The child never returns or raises into the caller's frames: they
+    would stage, rename or delete the caller's output files. :meth:`result`
+    reads the child from this process, and :meth:`close` reaps it.
+    """
+
+    def __init__(self, work):
+        import fcntl
+        import pickle
+
+        reader, writer = os.pipe()
+        try:
+            fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass  # not Linux, or above the host's limit: a 64 KiB pipe overlaps too
+
+        def send(data) -> None:
+            view = memoryview(data).cast("B")
+            for chunk in (len(view).to_bytes(8, "little"), view):
+                while chunk:
+                    chunk = chunk[os.write(writer, chunk):]
+
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(reader)
+            os.close(writer)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(reader)
+                try:
+                    outcome = work(send), None
+                except BaseException as exc:  # re-raised by the parent
+                    outcome = None, exc
+                send(b"")
+                send(pickle.dumps(outcome))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(writer)
+        self.pid, self.reader = pid, reader
+
+    def fileno(self) -> int:
+        return self.reader
+
+    def _read(self, size: int) -> bytearray:
+        """The child's next ``size`` bytes, in a fresh buffer."""
+        buffer = bytearray(size)
+        view = memoryview(buffer)
+        while view:
+            got = os.readv(self.reader, [view])
+            if not got:
+                raise ChildProcessError("a forked process ended before it sent its outcome")
+            view = view[got:]
+        return buffer
+
+    def _receive(self) -> bytearray:
+        """The child's next message."""
+        return self._read(int.from_bytes(self._read(8), "little"))
+
+    def result(self, hand=None):
+        """Hand each message the child sends to ``hand``, in order, then
+        reap the child and return its value or raise its exception. If the
+        child ended before it sent its outcome, raise
+        :class:`ChildProcessError`. On any error here the child is killed
+        before it is reaped."""
+        import pickle
+
+        try:
+            while message := self._receive():
+                hand(message)
+                del message  # not held while the next one is received
+            value, error = pickle.loads(self._receive())
+        except BaseException:
+            self.close(kill=True)
+            raise
+        self.close()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self, kill: bool = False) -> None:
+        """Reap the child once, with ``kill`` ending it first: it may have
+        much of its run left."""
+        import signal
+
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.reader)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     """Run ``integrate(emit)``, hand each flat block it emits to ``sink`` as
     counted rows, a read-only ``memoryview`` cast to ``(n, width)``, in this
@@ -467,68 +577,24 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     A run of one block has nothing to overlap and a :class:`Collector` (the
     sweep's window sink among them) gains nothing from a second process, so
     those, and hosts with one core or without ``os.fork``, integrate in
-    process. Otherwise a forked child emits each block's bytes to a pipe,
-    whose capacity bounds how far it runs ahead, and this process hands the
-    blocks to ``sink`` in order. The child then sends the exception that
-    stopped its run, or None, and this process raises it.
+    process. Otherwise a forked :class:`_Child` emits each block's bytes to
+    this process, which hands the blocks to ``sink`` in order and raises the
+    exception that stopped the child's run, if any.
     """
-    import os
-
     if sink is None:
         sink = Collector()
 
     def hand(block) -> None:
         flat = memoryview(block).toreadonly().cast("B")
         rows = flat.cast("d", (len(flat) // (8 * width), width))
-        sink.rows += len(rows)
+        sink.handed += len(rows)
         sink.put(rows)
 
     if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
             or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")):
         integrate(hand)
-        return sink
-    import fcntl
-    import multiprocessing
-    import signal
-
-    reader, writer = multiprocessing.Pipe(duplex=False)
-    try:
-        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except (AttributeError, OSError):
-        pass  # not Linux, or above the host's limit: a 64 KiB pipe overlaps too
-    pid = os.fork()
-    if pid == 0:
-        # the child must never return or raise into the caller's frames:
-        # they would stage, rename or delete the caller's output files
-        code = 1
-        try:
-            reader.close()
-            try:
-                integrate(writer.send_bytes)
-                outcome = None
-            except BaseException as exc:  # re-raised by the parent
-                outcome = exc
-            writer.send_bytes(b"")
-            writer.send(outcome)
-            code = 0
-        finally:
-            os._exit(code)
-    writer.close()
-    try:
-        while block := reader.recv_bytes():
-            hand(block)
-            del block  # not held while the next one is received
-        outcome = reader.recv()
-    except EOFError:
-        raise ChildProcessError("the integrating process ended before its run did") from None
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # it may have much of its run left
-        raise
-    finally:
-        reader.close()
-        os.waitpid(pid, 0)
-    if outcome is not None:
-        raise outcome
+    else:
+        _Child(integrate).result(hand)
     return sink
 
 

@@ -2,18 +2,21 @@
 
 Just enough to eyeball simulation output: stacked panels, auto-scaled axes,
 tick labels, and a legend when a panel holds more than one series. Long
-series are decimated to keep files small; decimation is deterministic, so
-repeated runs emit identical bytes. The module does no file I/O:
+series are decimated to keep files small: a panel keeps only the points it
+draws, and :class:`Thinned` keeps them from a series fed in chunks, as a
+run streams it. Decimation is deterministic, so repeated runs emit
+identical bytes. The module does no file I/O:
 ``write_chart`` writes to a text handle that its caller opens and closes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
-__all__ = ["Panel", "write_chart"]
+__all__ = ["Panel", "Thinned", "write_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 _MAX_POINTS_PER_SERIES = 4000
@@ -21,9 +24,40 @@ _MAX_POINTS_PER_SERIES = 4000
 WIDTH, PANEL_HEIGHT = 900, 260
 
 
+class Thinned:
+    """The points of a series of ``n`` points that a chart draws, fed in
+    order in chunks of any size: every ``stride``-th point plus the last, so
+    that at most about 4000 are kept however long the series is."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.stride = max(1, -(-n // _MAX_POINTS_PER_SERIES))
+        self.xs, self.ys = array("d"), array("d")
+        self._fed = 0
+
+    def extend(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        """Feed the next points, ``xs[i], ys[i]``, of the series."""
+        start, stride = self._fed, self.stride
+        self._fed += len(xs)
+        first = -start % stride
+        self.xs.extend(xs[first::stride])
+        self.ys.extend(ys[first::stride])
+        if self._fed == self.n > start and (self.n - 1) % stride:
+            self.xs.append(xs[-1])
+            self.ys.append(ys[-1])
+
+
+def _decimate(xs: Sequence[float], ys: Sequence[float]) -> tuple[array, array]:
+    """The drawn points of a whole series."""
+    thinned = Thinned(len(xs))
+    thinned.extend(xs, ys)
+    return thinned.xs, thinned.ys
+
+
 @dataclass
 class Panel:
-    """One chart panel: named series sharing an x axis."""
+    """One chart panel: named series sharing an x axis, each kept as the
+    points it draws."""
 
     title: str = ""
     xlabel: str = ""
@@ -33,8 +67,14 @@ class Panel:
     )
 
     def add(self, label: str, xs: Sequence[float], ys: Sequence[float]) -> "Panel":
-        """Add a series; it is kept as given, not copied."""
-        self.series.append((label, xs, ys))
+        """Add a whole series, keeping only the points it draws."""
+        self.series.append((label, *_decimate(xs, ys)))
+        return self
+
+    def add_thinned(self, label: str, series: Thinned) -> "Panel":
+        """Add a series thinned as it was fed, as it is: thinning it again
+        would drop more of its points."""
+        self.series.append((label, series.xs, series.ys))
         return self
 
 
@@ -74,17 +114,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def _decimate(xs: Sequence[float], ys: Sequence[float]) -> tuple[list, list]:
-    """Every ``stride``-th point plus the last, as lists of the kept points."""
-    n = len(xs)
-    stride = max(1, -(-n // _MAX_POINTS_PER_SERIES))
-    kept_x, kept_y = list(xs[::stride]), list(ys[::stride])
-    if (n - 1) % stride:
-        kept_x.append(xs[-1])
-        kept_y.append(ys[-1])
-    return kept_x, kept_y
-
-
 def _fmt_tick(value: float) -> str:
     if value == int(value) and abs(value) < 1e7:
         return str(int(value))
@@ -113,9 +142,8 @@ def write_chart(handle: TextIO, panels: Sequence[Panel]) -> None:
         bottom = (index + 1) * PANEL_HEIGHT - margin_bottom
         plot_h = bottom - top
 
-        data = [_decimate(xs, ys) for _, xs, ys in panel.series]
-        all_x = [v for xs, _ in data for v in xs]
-        all_y = [v for _, ys in data for v in ys if math.isfinite(v)]
+        all_x = [v for _, xs, _ in panel.series for v in xs]
+        all_y = [v for _, _, ys in panel.series for v in ys if math.isfinite(v)]
         if not all_x or not all_y:
             raise ValueError(f"panel {index} has no finite data")
         x_lo, x_hi = min(all_x), max(all_x)
@@ -157,7 +185,7 @@ def write_chart(handle: TextIO, panels: Sequence[Panel]) -> None:
             out.append(_text(18, y_label, 13, panel.ylabel,
                              extra=f' transform="rotate(-90 18 {y_label})"'))
 
-        for s_index, ((label, _, _), (xs, ys)) in enumerate(zip(panel.series, data)):
+        for s_index, (label, xs, ys) in enumerate(panel.series):
             color = _COLORS[s_index % len(_COLORS)]
             points = " ".join(
                 f"{px(x):.2f},{py(y):.2f}"

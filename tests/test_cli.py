@@ -1,18 +1,23 @@
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from hrsync import analysis, cli, sim
+from hrsync import analysis, cli, sim, svgplot
 from hrsync.analysis import sweep_K
 from hrsync.cli import RunConfig, build_parser, main, resolve_config
 from hrsync.model import NeuronParams
@@ -57,6 +62,27 @@ def read_lines(path):
     assert text.endswith("\n")
     assert "\r" not in text
     return text.splitlines()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block if it runs longer than ``seconds``, as a hang would."""
+
+    def expired(*args):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestIsolated:
@@ -251,36 +277,89 @@ class TestSweep:
         code = main(["sweep", "--K-list", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("k_list, pool_size", [
+    @pytest.mark.parametrize("k_list, most_alive", [
         ("0", None),
         ("0,1,2,3,4,5,6,7,8", 4),
         ("0,1", 2),
     ])
     def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
-                                                 k_list, pool_size):
-        # a forked pool starts every worker up front; count what is asked for
-        sizes = []
+                                                 k_list, most_alive):
+        # one forked child per K, and on 4 cores at most 4 alive at once; a
+        # single K runs in process
+        real_fork, real_waitpid = os.fork, os.waitpid
+        forks, alive, peak = [], set(), [0]
 
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                sizes.append(max_workers)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+                alive.add(pid)
+                peak[0] = max(peak[0], len(alive))
+            return pid
 
-            def __enter__(self):
-                return self
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            alive.discard(pid)
+            return reaped
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # sweep_K imports the pool class when it runs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
                 "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(forks) == (0 if most_alive is None else len(k_list.split(",")))
+        assert peak[0] == (most_alive or 0)
+        assert not alive
+
+    def test_child_that_ends_without_a_result_exits_4(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(7)
+            raise AssertionError("ran in the caller")
+
+        monkeypatch.setattr(analysis, "_sweep_one", die)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2",
+                "--out", str(tmp_path / "sweep.csv")]
+        with deadline(60):
+            assert main(argv) == 4
+        assert "ended before it sent its outcome" in capsys.readouterr().err
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_error_in_the_caller_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def hang(*args, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise AssertionError("ran in the caller, or outlived its kill")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        real_waitpid, statuses = os.waitpid, []
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(analysis, "_sweep_one", hang)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(select, "select", interrupted)
+        argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3,4,5",
+                "--out", str(tmp_path / "sweep.csv")]
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert [os.WIFSIGNALED(status) and os.WTERMSIG(status) for status in statuses] == (
+            [signal.SIGKILL] * 4)
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
 
     def test_windows_follow_the_run(self, tmp_path):
         # pre: second half of [0, adapt_at]; post: second half of [adapt_at, t_end]
@@ -367,11 +446,6 @@ class TestOutputSet:
         assert sorted(tmp_path.iterdir()) == []
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 POLE_LINES = "adapt_target = m\npost.m = 0.0005\nadapt_at = 0\n"  # diverges at t = 0.38
 
 
@@ -421,7 +495,7 @@ class TestIntegratingChild:
         put = writer.put
 
         def put_then_fail(self, block):
-            if self.rows > 50:
+            if len(self) > 50:
                 raise error
             put(self, block)
 
@@ -689,20 +763,58 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command, cores", on_cores(
-    {command: (command,) for command in ("isolated", "pair")}, usual=1))
-def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command, cores):
+@pytest.mark.parametrize("argv, cores", on_cores({
+    "isolated": (["isolated"],),
+    "pair": (["pair"],),
+    "isolated-plot": (["isolated", "--plot"],),
+    "pair-plot": (["pair", "--plot"],),
+}, usual=1))
+def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
     # tracing every allocation slows a run some 20-fold, so small blocks let
-    # short runs stand for long ones: 10 blocks against 100. tracemalloc sees
-    # only this process: on one core it holds the integration and the
+    # short runs stand for long ones: 10 blocks against 100, and a chart of
+    # at most 100 points a series lets both runs reach that bound. tracemalloc
+    # sees only this process: on one core it holds the integration and the
     # writer, on two only the writer.
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(svgplot, "_MAX_POINTS_PER_SERIES", 100)
     out = str(tmp_path / "out.csv")
-    main([command, "--t-end", "5", "--out", out])  # one-time costs
-    short = traced_peak([command, "--t-end", "5", "--out", out])
-    long = traced_peak([command, "--t-end", "50", "--out", out])
+    main([*argv, "--t-end", "5", "--out", out])  # one-time costs
+    short = traced_peak([*argv, "--t-end", "5", "--out", out])
+    long = traced_peak([*argv, "--t-end", "50", "--out", out])
     assert abs(long - short) < 0.1 * short, (short, long)
+
+
+#: rows in the block of the test below: the size a run hands its sinks
+FORMATTED_ROWS = 4096
+
+
+@pytest.mark.parametrize("command", ["isolated", "pair"])
+def test_writers_hold_a_row_not_the_block(tmp_path, command):
+    # ``tolist()`` of a block makes an object of every float in it; the
+    # writers format from one row at a time
+    width = {"isolated": 7, "pair": 14}[command]
+    spec = SimSpec(dt=0.01, t_end=(FORMATTED_ROWS - 1) * 0.01)
+    assert len(spec.recorded_steps) == FORMATTED_ROWS
+    data = array("d", (math.sin(i) for i in range(FORMATTED_ROWS * width)))
+    block = memoryview(data).toreadonly().cast("B").cast("d", (FORMATTED_ROWS, width))
+    with open(os.devnull, "w", encoding="utf-8") as handle:
+        if command == "isolated":
+            writer = cli._ColumnWriter([(handle, range(7)), (handle, (1, 2, 3))], spec)
+        else:
+            writer = cli._PairWriter(handle, spec, plot=False)
+        tracemalloc.start()
+        try:
+            rows = block.tolist()
+            listed = tracemalloc.get_traced_memory()[0]
+            del rows
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            writer.put(block)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < listed / 4, (peak, listed)
 
 
 @pytest.mark.parametrize(
@@ -804,7 +916,7 @@ class TestReadme:
 NO_NUMPY_SCRIPT = """
 import json, os, sys
 import hrsync
-from hrsync import analysis, cli, sim
+from hrsync import analysis, cli, sim, svgplot
 
 log, argv = sys.argv[1], sys.argv[2:]
 
@@ -829,7 +941,7 @@ print(json.dumps([os.getpid(), code, *(name in sys.modules for name in
 @pytest.mark.parametrize("argv, forks", [
     (("isolated", "--t-end", "5", "--plot"), False),
     (("pair", "--t-end", "50", "--plot"), True),  # 5001 rows: the child integrates
-    (("sweep", "--K-list", "0,1", "--t-end", "20", "--adapt-at", "10"), True),  # pool
+    (("sweep", "--K-list", "0,1", "--t-end", "20", "--adapt-at", "10"), True),  # a child per K
 ])
 def test_cli_never_imports_numpy(tmp_path, argv, forks):
     log = tmp_path / "log.jsonl"
@@ -840,8 +952,8 @@ def test_cli_never_imports_numpy(tmp_path, argv, forks):
     assert proc.returncode == 0, proc.stderr
     caller, code, numpy_loaded, *pool_modules = json.loads(proc.stdout.splitlines()[-1])
     assert (code, numpy_loaded) == (0, False)
-    # a run in process loads neither, a forked run the pipe, the sweep its pool
-    assert pool_modules == [forks, argv[0] == "sweep"]
+    # forked runs and the sweep's children use a bare pipe, with no pool
+    assert pool_modules == [False, False]
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert records and not any(loaded for _, loaded in records)
     assert any(pid != caller for pid, _ in records) == forks

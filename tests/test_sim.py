@@ -393,6 +393,17 @@ class TestIntegratingChild:
         with pytest.raises(ChildProcessError):
             run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files on Linux")
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        def fork():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
                                       "no fork", "one-K sweep"])
     def test_stays_in_process(self, monkeypatch, case):

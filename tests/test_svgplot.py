@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from hrsync.svgplot import _MAX_POINTS_PER_SERIES, Panel, _decimate, write_chart
+from hrsync.svgplot import _MAX_POINTS_PER_SERIES, Panel, Thinned, _decimate, write_chart
 
 
 @pytest.mark.parametrize("n", [1, 2, 3999, 4000, 4001, 7999, 8000, 8001, 12345])
@@ -45,3 +45,27 @@ def test_title_labels_and_legend_are_escaped():
         assert f">{escaped}</text>" in svg
     texts = [e.text for e in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert {"a & b", "x < 1", "y > 0", "p&q<r>"} <= set(texts)
+
+
+def chart(panel):
+    handle = io.StringIO()
+    write_chart(handle, [panel])
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("n", [3999, 4000, 4001, 7999, 8000, 8001, 12001])
+def test_streamed_points_are_the_decimated_ones(n):
+    # a run feeds its series block by block; the chart must not thin the kept
+    # points again, though they can number 4001 (n = 8000: stride 2 and the last)
+    xs = array("d", (0.01 * i for i in range(n)))
+    ys = array("d", (math.sin(0.05 * i) for i in range(n)))
+    whole = _decimate(xs, ys)
+    svg = chart(Panel("sine", "t", "y").add("y", xs, ys))
+    (polyline,) = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+    assert len(polyline.get("points").split()) == len(whole[0])
+    for size in (1, 7, 1000, 4096, n):
+        thinned = Thinned(n)
+        for i in range(0, n, size):
+            thinned.extend(memoryview(xs)[i : i + size], memoryview(ys)[i : i + size])
+        assert (thinned.xs, thinned.ys) == whole, size
+        assert chart(Panel("sine", "t", "y").add_thinned("y", thinned)) == svg, size
