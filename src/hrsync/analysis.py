@@ -90,6 +90,11 @@ class TrailingMean:
         self.k = math.ceil(ratio)
         self._sums = None  # the last k running sums, the newest last
 
+    def count(self, n: int) -> int:
+        """The number of means of a series of ``n`` samples: one per window,
+        from the first full one on."""
+        return n - self.k + 1
+
     def push(self, values) -> list[float]:
         """Means of the windows that end at each of the floats ``values``, in
         order, from the first full window on."""
@@ -125,7 +130,7 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
         raise ValueError("series must be uniformly sampled")
     mean = TrailingMean(window, spacing, len(values))
     avg = np.array(mean.push(values.tolist()), dtype=float)
-    return WindowedSeries(times=times[mean.k - 1 :].copy(), values=avg, window=window)
+    return WindowedSeries(times=times[len(times) - len(avg) :].copy(), values=avg, window=window)
 
 
 def _squared_errors(x1, y1, z1, w1, x2, y2, z2, w2):
@@ -265,10 +270,10 @@ def sweep_K(
     any run starts. Runs are independent: each runs in a forked child that
     sends back its summary, or the exception that stopped it, with at most
     one child per core alive at once. A single run or core, or a host
-    without ``os.fork``, runs in process. Output order matches the input
-    order. A diverging run yields a summary with its ``error`` field set;
-    the other runs are unaffected. On any error here, every live child is
-    killed and reaped.
+    without ``os.fork``, runs in process, and so does a run whose child
+    cannot be forked. Output order matches the input order. A diverging
+    run yields a summary with its ``error`` field set; the other runs are
+    unaffected. On any error here, every live child is killed and reaped.
     """
     configs = [replace(config, K=float(K)) for K in k_values]
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
@@ -290,16 +295,26 @@ def sweep_K(
 
     summaries: list = [None] * len(configs)
     waiting = list(enumerate(configs))
-    live: dict[_Child, int] = {}
+    live: dict[int, tuple[_Child, int]] = {}  # reader -> (child, index)
+    # poll, not select: select refuses a descriptor from FD_SETSIZE (1024) on
+    poll = select.poll()
     try:
         while waiting or live:
             while waiting and len(live) < workers:
                 index, c = waiting.pop(0)
-                live[_Child(lambda send, c=c: work(c))] = index
-            ready, _, _ = select.select(list(live), [], [])
-            child = ready[0]
-            summaries[live.pop(child)] = child.result()
+                try:
+                    child = _Child(lambda send, c=c: work(c))
+                except OSError:  # no process or pipe to spare: run it here
+                    summaries[index] = work(c)
+                    continue
+                live[child.fileno()] = child, index
+                poll.register(child, select.POLLIN)
+            if live:
+                (reader, _), *_ = poll.poll()
+                poll.unregister(reader)
+                child, index = live.pop(reader)
+                summaries[index] = child.result()
     finally:
-        for child in live:
+        for child, _ in live.values():
             child.close(kill=True)
     return summaries

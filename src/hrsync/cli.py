@@ -261,13 +261,11 @@ class _ColumnWriter(Sink):
         self.plotted = [(Thinned(n), columns) for columns in plotted]
 
     def put(self, block: memoryview) -> None:
-        whole = tuple(range(block.shape[1]))
         # row by row: a block's rows or text at once would hold many times
         # the memory of the block
         for handle, picks in self.outputs:
             write = handle.write
-            rows = Sink.rows(block)
-            for row in rows if picks == whole else map(itemgetter(*picks), rows):
+            for row in map(itemgetter(*picks), Sink.rows(block)):
                 write(",".join(map(repr, row)) + "\n")
         for series, (x, y) in self.plotted:
             series.extend(Sink.column(block, x), Sink.column(block, y))
@@ -298,7 +296,7 @@ class _PairWriter(Sink):
         self.handle = handle
         self.means = [_trailing_mean(spec, window) for window in (H_WINDOW, HDOT_WINDOW)]
         n = len(spec.recorded_steps)
-        self.plotted = [Thinned(n), *(Thinned(n - mean.k + 1) if mean else None
+        self.plotted = [Thinned(n), *(Thinned(mean.count(n)) if mean else None
                                       for mean in self.means)] if plot else []
 
     def put(self, block: memoryview) -> None:

@@ -338,8 +338,12 @@ class TestSweep:
                 time.sleep(60)
             raise AssertionError("ran in the caller, or outlived its kill")
 
-        def interrupted(*args):
-            raise KeyboardInterrupt
+        class Interrupted:
+            def register(self, *args):
+                pass
+
+            def poll(self):
+                raise KeyboardInterrupt
 
         real_waitpid, statuses = os.waitpid, []
 
@@ -351,7 +355,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_sweep_one", hang)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "waitpid", waitpid)
-        monkeypatch.setattr(select, "select", interrupted)
+        monkeypatch.setattr(select, "poll", Interrupted)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3,4,5",
                 "--out", str(tmp_path / "sweep.csv")]
         with deadline(60), pytest.raises(KeyboardInterrupt):
@@ -360,6 +364,53 @@ class TestSweep:
             [signal.SIGKILL] * 4)
         assert_no_child_left()
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_fork_runs_in_process(self, tmp_path, monkeypatch):
+        # a fork refused under a process limit runs that K here; the rest fork
+        argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) % 2:
+                raise BlockingIOError("fork refused")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == 4
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_children_are_read_above_fd_setsize(self, monkeypatch):
+        # select() refuses a descriptor from 1024 on; the children's pipes get
+        # the lowest free ones, so hold every one below that first
+        import resource
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft < 1200:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (min(1200, hard), hard))
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while held[-1] < 1030:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            config = PairConfig(pre=NeuronParams.canonical(I=3.024),
+                                post=NeuronParams.canonical(I=0.85),
+                                adaptation=AdaptationSpec(start_time=1.0))
+            spec = SimSpec(dt=0.01, t_end=2.0)
+            run = lambda: sweep_K([0.0, 1.0, 2.0], spec, config, pre_window=(0.5, 1.0),
+                                  post_window=(1.5, 2.0))
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            with deadline(60):
+                forked = run()
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert forked == run()
 
     def test_windows_follow_the_run(self, tmp_path):
         # pre: second half of [0, adapt_at]; post: second half of [adapt_at, t_end]
