@@ -15,8 +15,11 @@ The package is organized as:
   terms, and the per-point kernels ``field`` and ``conservative``.
 * :mod:`hrsync.energy`   - the energy table and its per-point kernel
   ``energy_terms``: energy, gradient, dissipative part, energy derivative.
-* :mod:`hrsync.sim`      - fixed-step integration of one neuron or the
-  coupled pair, with the adaptive law.
+* :mod:`hrsync.sim`      - fixed-step integration of one sender that
+  drives no receiver (a lone neuron), one (the coupled pair) or several,
+  with the adaptive law.
+* :mod:`hrsync.fork`     - a forked child that streams its output back
+  over a pipe.
 * :mod:`hrsync.analysis` - windowed averages, sync error, coupling sweeps.
 * :mod:`hrsync.cli`      - ``hrsync`` command line tool (CSV/SVG emission).
 """

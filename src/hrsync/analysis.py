@@ -13,31 +13,25 @@ running sum, and a window mean follows the order of the pairwise sum of
 ``np.mean``. :func:`sync_rms` reads a :class:`Trajectory`'s columns as
 ``memoryview`` objects, without copying them; only :func:`windowed_average`
 takes and gives ``np.ndarray`` objects. ``_squared_errors`` yields each
-row's squared state error norm: :func:`sync_rms` totals them left to right,
-and ``pair``'s writer takes the root of each.
+row's squared state error norm: :func:`sync_rms` and the sweep's window sink
+total them left to right, and ``pair``'s writer takes the root of each.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import accumulate
-from operator import add, sub
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub, truediv
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .sim import (
-    Collector,
-    _Child,
-    DivergenceError,
-    PairConfig,
-    SimSpec,
-    Sink,
-    Trajectory,
-    run_pair,
-)
+from .fork import Child
+from .sim import PairConfig, SimSpec, Sink, Trajectory, _drive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,6 +72,7 @@ class TrailingMean:
     must have at least ``k`` of its ``n`` samples, else ``ValueError``.
     Every block continues one sequential running sum, so the means are
     bit-identical however the series is split, including into one block.
+    Only the last ``k`` running sums are carried from block to block.
     """
 
     def __init__(self, window: float, spacing: float, n: int):
@@ -88,27 +83,33 @@ class TrailingMean:
         if ratio > n:
             raise ValueError("window longer than the series")
         self.k = math.ceil(ratio)
-        self._sums = None  # the last k running sums, the newest last
+        self.fed = 0  # samples pushed so far
+        self._sums: Sequence[float] = (0.0,)  # the last k running sums, the newest last
 
     def count(self, n: int) -> int:
         """The number of means of a series of ``n`` samples: one per window,
         from the first full one on."""
         return n - self.k + 1
 
-    def push(self, values) -> list[float]:
+    def push(self, values: Sequence[float]) -> Iterator[float]:
         """Means of the windows that end at each of the floats ``values``, in
-        order, from the first full window on."""
-        k, sums = self.k, self._sums
-        if sums is None:
-            # the first sum is the first value itself, as in np.cumsum (0.0
-            # plus a -0.0 would not be)
-            sums = [0.0, *accumulate(values)]
-        else:
+        order, from the first full window on, as an iterator that holds no
+        more than the carried sums: it adds the running sum again, with the
+        same bits, rather than keep it."""
+        k, carried, fresh = self.k, self._sums, self.fed == 0
+
+        def sums():
+            if fresh:
+                # the first sum is the first value itself, as in np.cumsum
+                # (0.0 plus a -0.0 would not be)
+                return chain(carried, accumulate(values))
             # continue from the carried total: adding it after a fresh
             # running sum would round differently from one sequential sum
-            sums[-1:] = accumulate(values, initial=sums[-1])
-        self._sums = sums[-k:]
-        return [(b - a) / k for a, b in zip(sums, sums[k:])]
+            return chain(carried, islice(accumulate(values, initial=carried[-1]), 1, None))
+
+        self._sums = deque(sums(), maxlen=k)
+        self.fed += len(values)
+        return map(truediv, map(sub, islice(sums(), k, None), sums()), repeat(k))
 
 
 def windowed_average(times, values, window: float) -> WindowedSeries:
@@ -129,7 +130,7 @@ def windowed_average(times, values, window: float) -> WindowedSeries:
     if np.any(np.abs(steps - spacing) > 1e-6 * max(spacing, 1.0)):
         raise ValueError("series must be uniformly sampled")
     mean = TrailingMean(window, spacing, len(values))
-    avg = np.array(mean.push(values.tolist()), dtype=float)
+    avg = np.array(list(mean.push(values.tolist())), dtype=float)
     return WindowedSeries(times=times[len(times) - len(avg) :].copy(), values=avg, window=window)
 
 
@@ -144,23 +145,6 @@ def _squared_errors(x1, y1, z1, w1, x2, y2, z2, w2):
         yield e0 ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2
 
 
-def _window(run: Trajectory | _WindowRows, t0: float, t1: float) -> list[memoryview]:
-    """The columns ``t, *pre, *post, H_post, Hdot_post`` of the rows of
-    ``run`` with ``t0 <= t <= t1``, as 1-D float ``memoryview`` objects that
-    copy nothing. The times increase, so the rows are one run, found by
-    bisection."""
-    if isinstance(run, _WindowRows):
-        flat = memoryview(run.data)
-        columns = [flat[c::14] for c in (*range(9), 12, 13)]
-    else:
-        columns = [memoryview(a) for a in (run.t, *run.pre.T, *run.post.T, run.H_post,
-                                           run.Hdot_post)]
-    lo, hi = bisect_left(columns[0], t0), bisect_right(columns[0], t1)
-    if lo == hi:
-        raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
-    return [column[lo:hi] for column in columns]
-
-
 def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     """Root-mean-square of the full-state error norm over ``t in [t0, t1]``.
 
@@ -170,9 +154,15 @@ def sync_rms(trajectory: Trajectory, t0: float, t1: float) -> float:
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    t, *states, _, _ = _window(trajectory, t0, t1)
+    # the times increase, so the window's rows are one run, found by bisection
+    t = memoryview(trajectory.t)
+    lo, hi = bisect_left(t, t0), bisect_right(t, t1)
+    if lo == hi:
+        raise ValueError(f"no samples in window [{t0:g}, {t1:g}]")
+    # memoryview columns copy nothing
+    states = [memoryview(a)[lo:hi] for a in (*trajectory.pre.T, *trajectory.post.T)]
     # float arithmetic, left to right: builtin sum() compensates from Python 3.12 on
-    return math.sqrt(reduce(add, _squared_errors(*states), 0.0) / len(t))
+    return math.sqrt(reduce(add, _squared_errors(*states), 0.0) / (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -192,25 +182,6 @@ class SweepSummary:
     pre_adapt_sync_rms: float
     post_adapt_sync_rms: float
     error: str | None = None
-
-
-class _WindowRows(Collector):
-    """Sink that keeps only the rows whose time lies in one of ``windows``,
-    which are in time order."""
-
-    def __init__(self, *windows: tuple[float, float]):
-        super().__init__()
-        self.windows = windows
-
-    def put(self, block: memoryview) -> None:
-        # times increase, so each window's rows are one run of the block
-        t = Sink.column(block, 0)
-        end = 0
-        for lo, hi in self.windows:
-            first = max(bisect_left(t, lo), end)  # a row on two windows is kept once
-            end = max(bisect_right(t, hi), first)
-            if end > first:
-                super().put(block[first:end])
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
@@ -236,24 +207,58 @@ def _mean(values: Sequence[float]) -> float:
     return (0.0 + _pairwise_sum(values)) / len(values)
 
 
-def _sweep_one(
-    config: PairConfig,
-    spec: SimSpec,
-    pre_window: tuple[float, float],
-    post_window: tuple[float, float],
-) -> SweepSummary:
-    try:
-        rows = run_pair(spec, config, _WindowRows(pre_window, post_window))
-        means = [_mean(column) for window in (pre_window, post_window)
-                 for column in _window(rows, *window)[9:]]
-        # sync_rms follows the run: perfbench's tracer writes a forked child's
-        # sample count only when a traced call ends after the run's
-        return SweepSummary(config.K, *means, sync_rms(rows, *pre_window),
-                            sync_rms(rows, *post_window))
-    except DivergenceError as exc:
-        nan = float("nan")
-        return SweepSummary(config.K, nan, nan, nan, nan, nan, nan,
-                            error=f"divergence at t={exc.t:g}")
+class _WindowStats(Sink):
+    """Sink of one receiver's pair rows that keeps, for each of ``windows``
+    (closed intervals of time), only what the sweep reads of its rows: their
+    ``H_post`` and ``Hdot_post``, 16 bytes a row, for :func:`_mean`, which
+    needs all of a window's values at once, and the left-to-right running
+    sum of their squared state errors. A row on the boundary of two windows
+    counts in both."""
+
+    def __init__(self, *windows: tuple[float, float]):
+        self.windows = windows
+        self.kept = [(array("d"), array("d")) for _ in windows]
+        self.squares = [0.0] * len(windows)
+
+    def put(self, block: memoryview) -> None:
+        # times increase, so each window's rows are one run of the block
+        t = Sink.column(block, 0)
+        for w, (lo, hi) in enumerate(self.windows):
+            first, end = bisect_left(t, lo), bisect_right(t, hi)
+            if first < end:
+                *states, H, Hdot = (Sink.column(block, c)[first:end]
+                                    for c in (*range(1, 9), 12, 13))
+                self.squares[w] = reduce(add, _squared_errors(*states), self.squares[w])
+                for kept, column in zip(self.kept[w], (H, Hdot)):
+                    kept.extend(column)
+
+    def statistics(self) -> list[float]:
+        """Each window's mean ``H_post`` and ``Hdot_post``, in window order,
+        then each window's RMS state error: the bits that :func:`_mean` and
+        :func:`sync_rms` give over the window's rows of the whole run."""
+        means, rms = [], []
+        for (lo, hi), kept, total in zip(self.windows, self.kept, self.squares):
+            if not kept[0]:
+                raise ValueError(f"no samples in window [{lo:g}, {hi:g}]")
+            means += [_mean(memoryview(values)) for values in kept]
+            rms.append(math.sqrt(total / len(kept[0])))
+        return means + rms
+
+
+def _sweep_group(configs: Sequence[PairConfig], spec: SimSpec,
+                 windows: tuple[tuple[float, float], ...]) -> list[SweepSummary]:
+    """The summaries of ``configs``, which differ only in ``K``, from one
+    integration of their shared sender that drives every receiver."""
+    sinks = [_WindowStats(*windows) for _ in configs]
+    summaries = []
+    for config, sink, error in zip(configs, sinks, _drive(spec, configs, sinks)):
+        if error is None:
+            summaries.append(SweepSummary(config.K, *sink.statistics()))
+        else:
+            nan = float("nan")
+            summaries.append(SweepSummary(config.K, nan, nan, nan, nan, nan, nan,
+                                          error=f"divergence at t={error.t:g}"))
+    return summaries
 
 
 def sweep_K(
@@ -267,13 +272,16 @@ def sweep_K(
     """One coupled run per coupling strength, summarized per window.
 
     Every run's :class:`PairConfig`, which checks its ``K``, is built before
-    any run starts. Runs are independent: each runs in a forked child that
-    sends back its summary, or the exception that stopped it, with at most
-    one child per core alive at once. A single run or core, or a host
-    without ``os.fork``, runs in process, and so does a run whose child
-    cannot be forked. Output order matches the input order. A diverging
-    run yields a summary with its ``error`` field set; the other runs are
-    unaffected. On any error here, every live child is killed and reaped.
+    any run starts. The runs share their sender, so the K values are split
+    into ``min(cores, len(k_values))`` groups of consecutive values, and one
+    integration of the sender drives every receiver of a group. Each group
+    runs in its own forked child, all started at once, which sends back its
+    summaries, or the exception that stopped it. A single group (one K or
+    one core), a host without ``os.fork`` and a group whose child cannot be
+    forked run in process. Output order matches the input order. A
+    diverging run yields a summary with its ``error`` field set; the other
+    runs are unaffected and keep the bits of a run of their own. On any
+    error here, every live child is killed and reaped.
     """
     configs = [replace(config, K=float(K)) for K in k_values]
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
@@ -287,34 +295,36 @@ def sweep_K(
                 "adaptation start must separate the pre and post windows"
             )
 
-    work = partial(_sweep_one, spec=spec, pre_window=pre_window, post_window=post_window)
-    workers = min(os.cpu_count() or 1, len(configs))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [work(c) for c in configs]
+    work = partial(_sweep_group, spec=spec, windows=(pre_window, post_window))
+    groups = min(os.cpu_count() or 1, len(configs))
+    if groups <= 1 or not hasattr(os, "fork"):
+        return work(configs)
     import select
 
-    summaries: list = [None] * len(configs)
-    waiting = list(enumerate(configs))
-    live: dict[int, tuple[_Child, int]] = {}  # reader -> (child, index)
+    cuts = [len(configs) * g // groups for g in range(groups + 1)]
+    parts = [configs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    results: list = [None] * groups
+    live: dict[int, tuple[Child, int]] = {}  # reader -> (child, group)
     # poll, not select: select refuses a descriptor from FD_SETSIZE (1024) on
     poll = select.poll()
     try:
-        while waiting or live:
-            while waiting and len(live) < workers:
-                index, c = waiting.pop(0)
-                try:
-                    child = _Child(lambda send, c=c: work(c))
-                except OSError:  # no process or pipe to spare: run it here
-                    summaries[index] = work(c)
-                    continue
-                live[child.fileno()] = child, index
-                poll.register(child, select.POLLIN)
-            if live:
-                (reader, _), *_ = poll.poll()
-                poll.unregister(reader)
-                child, index = live.pop(reader)
-                summaries[index] = child.result()
+        unforked = []
+        for g, part in enumerate(parts):
+            try:
+                child = Child(lambda send, part=part: work(part))
+            except OSError:  # no process or pipe to spare: run it here
+                unforked.append(g)
+                continue
+            live[child.fileno()] = child, g
+            poll.register(child, select.POLLIN)
+        for g in unforked:
+            results[g] = work(parts[g])
+        while live:
+            (reader, _), *_ = poll.poll()
+            poll.unregister(reader)
+            child, g = live.pop(reader)
+            results[g] = child.result()
     finally:
         for child, _ in live.values():
             child.close(kill=True)
-    return summaries
+    return [summary for part in results for summary in part]

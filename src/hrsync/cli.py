@@ -41,6 +41,7 @@ import argparse
 import math
 import os
 import sys
+from array import array
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field, fields as dc_fields, replace
 from itertools import chain, repeat
@@ -301,16 +302,20 @@ class _PairWriter(Sink):
 
     def put(self, block: memoryview) -> None:
         n, column = len(block), Sink.column
-        averages = [mean.push(column(block, c)) if mean else []
-                    for mean, c in zip(self.means, (12, 13))]
+        # each average's means of this block, lazily, and how many it has: the
+        # means belong to the last rows
+        averages = [(mean.push(column(block, c)), min(n, max(0, mean.count(mean.fed))))
+                    if mean else ((), 0) for mean, c in zip(self.means, (12, 13))]
         if self.plotted:
             t = column(block, 0)
             current, *means = self.plotted
             current.extend(t, column(block, 9))
-            for series, new in zip(means, averages):
+            # the chart slices the means, so this block's are kept for it
+            averages = [(array("d", new), count) for new, count in averages]
+            for series, (new, count) in zip(means, averages):
                 if series:
-                    series.extend(t[n - len(new):], new)
-        cells = [chain(repeat("", n - len(new)), map(repr, new)) for new in averages]
+                    series.extend(t[n - count:], new)
+        cells = [chain(repeat("", n - count), map(repr, new)) for new, count in averages]
         norms = map(math.sqrt, _squared_errors(*(column(block, c) for c in range(1, 9))))
         write = self.handle.write
         for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), e_norm, aH, aHd in zip(

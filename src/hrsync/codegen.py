@@ -40,21 +40,41 @@ def _evaluate(node: ast.expr, env: Mapping[str, object]):
 
 class _Fold(ast.NodeTransformer):
     """Bind each largest subexpression that uses only constants (and at least
-    one of them) as a new constant in ``env``."""
+    one of them) as a new constant in ``env``. Called on a tree, it marks
+    such operations in one bottom-up pass, then replaces them top down, so
+    it takes time linear in the size of the tree."""
 
     def __init__(self, env: dict):
         self.env = env
         self.keys: dict[str, str] = {}
+        self.foldable: set[ast.AST] = set()
+
+    def __call__(self, tree: ast.AST) -> ast.AST:
+        self.foldable.clear()
+        self._mark(tree)
+        return self.visit(tree)
+
+    def _mark(self, node: ast.AST) -> tuple[bool, bool]:
+        """Whether ``node`` names anything, and whether every name in it is
+        a constant."""
+        if isinstance(node, ast.Name):
+            return True, node.id in self.env
+        named, constant = False, True
+        for child in ast.iter_child_nodes(node):
+            child_named, child_constant = self._mark(child)
+            named |= child_named
+            constant &= child_constant
+        if named and constant and isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            self.foldable.add(node)
+        return named, constant
 
     def visit(self, node: ast.AST) -> ast.AST:
-        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            names = _names(node)
-            if names and names <= self.env.keys():
-                text = ast.unparse(node)
-                if text not in self.keys:
-                    self.keys[text] = key = f"_c{len(self.keys)}"
-                    self.env[key] = _evaluate(node, self.env)
-                return ast.copy_location(ast.Name(self.keys[text], ast.Load()), node)
+        if node in self.foldable:
+            text = ast.unparse(node)
+            if text not in self.keys:
+                self.keys[text] = key = f"_c{len(self.keys)}"
+                self.env[key] = _evaluate(node, self.env)
+            return ast.copy_location(ast.Name(self.keys[text], ast.Load()), node)
         return self.generic_visit(node)
 
 
@@ -79,8 +99,8 @@ def compile_kernel(name: str, args: str, body: Sequence[tuple[str, str]], result
             env[target] = _evaluate(tree, env)
             continue
         variables |= targets
-        lines.append(f"    {target} = {ast.unparse(fold.visit(tree))}\n")
-    lines.append(f"    return {ast.unparse(fold.visit(ast.parse(result, mode='eval').body))}\n")
+        lines.append(f"    {target} = {ast.unparse(fold(tree))}\n")
+    lines.append(f"    return {ast.unparse(fold(ast.parse(result, mode='eval').body))}\n")
     used = sorted(set(_IDENT.findall("".join(lines))) & env.keys())
     defaults = "".join(f", {c}={c}" for c in used)
     source = f"def {name}({args}{defaults}):\n" + "".join(lines)

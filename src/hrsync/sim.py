@@ -16,32 +16,40 @@ Runge-Kutta step as the neurons, so there is no operator-splitting error.
 Activation is decided once per step from the step's left endpoint; no
 sub-step event location is attempted (the switch-time error is O(dt)).
 
-Every target takes the same path. At the start of a run, the RK4 step and
-the recorded sample row are generated as straight-line Python from the
-expression tables :data:`hrsync.model.FIELD`, :data:`hrsync.model.PAIR`,
-:data:`hrsync.model.SENSITIVITY_EXPR` and :data:`hrsync.energy.ENERGY`, and
-compiled (:mod:`hrsync.codegen`). The receiver's equations read the live
-value ``q`` in place of the adapted parameter. Since ``d f / d q`` has a
-single nonzero row, ``PAIR``'s law is ``dq/dt = -gain*s*e_row`` with
-``(row, s)`` from the sensitivity table. The parameters, and every constant
-that ``q`` does not enter, are bound once per run. Each generated step
-agrees bit for bit with a hand-written RK4 step over the per-point kernels,
-which the tests keep as its reference. The energy divides by ``a`` and
-``m*s``, so a run that adapts ``a``, ``m`` or ``s`` stops with
-:class:`DivergenceError` once that parameter reaches zero or changes sign.
+Every target takes the same path, and so do the lone neuron and the pair:
+a sender that drives N >= 0 receivers, N = 0 for :func:`run_isolated` and
+N = 1 for :func:`run_pair`. At the start of a run, the RK4 step, the
+recorded sample rows and the divergence guard are generated as straight-line
+Python from the expression tables :data:`hrsync.model.FIELD`,
+:data:`hrsync.model.PAIR`, :data:`hrsync.model.SENSITIVITY_EXPR` and
+:data:`hrsync.energy.ENERGY`, and compiled (:mod:`hrsync.codegen`). The
+state is the sender's 4 components, then each receiver's 4 and its live
+``q``; receiver ``j``'s equations are the tables' rows with its own
+suffix, ``K``, gain and parameters, and read ``q`` in place of the adapted
+parameter. Since ``d f / d q`` has a single nonzero row, ``PAIR``'s law is
+``dq/dt = -gain*s*e_row`` with ``(row, s)`` from the sensitivity table. The
+parameters, and every constant that ``q`` does not enter, are bound once per
+run. Each generated step agrees bit for bit with a hand-written RK4 step over
+the per-point kernels, which the tests keep as its reference, and each
+receiver's rows are those of its own pair run whatever the other receivers
+do. The energy divides by ``a`` and ``m*s``, so a run that adapts ``a``,
+``m`` or ``s`` stops with :class:`DivergenceError` once that parameter
+reaches zero or changes sign. Of several receivers, one that diverges stops
+alone, and a sender that diverges stops them all.
 
-Both the pair and the lone neuron (:func:`run_isolated`) go through one
-integration loop, which emits the recorded samples as flat blocks of floats.
-:func:`_stream` hands each block to a :class:`Sink` as a read-only 2-D
-``memoryview`` of its rows, so a caller that formats or reduces each block
-holds no more than one block of the run, and imports no numpy. Without a
+One integration loop emits the recorded samples as flat blocks of floats,
+one series of blocks per sink. :func:`_stream` hands each block to a
+:class:`Sink` as a read-only 2-D ``memoryview`` of its rows, so a caller
+that formats or reduces each block holds no more than one block of the run,
+and imports no numpy. Without a
 sink, a :class:`Collector` keeps every row and the run returns a columnar
 :class:`Trajectory` of numpy arrays; only such runs import numpy. Runs are
 deterministic: identical specs and configs produce bit-identical rows on a
 given build. On two or more cores, a run of several blocks with a sink
 other than a :class:`Collector` integrates in a forked child while the
 caller's sink formats the blocks; the rows and errors are the same as in
-process.
+process. The coupling sweep (:func:`hrsync.analysis.sweep_K`) integrates
+several receivers at once, in process, through ``_drive``.
 """
 
 from __future__ import annotations
@@ -49,11 +57,14 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 from .codegen import compile_kernel, rename
 from .energy import ENERGY, POLE_PARAMS
+from .fork import Child
 from .model import (
     ADAPTABLE_PARAMS,
     FIELD,
@@ -86,12 +97,6 @@ DIVERGENCE_BOUND = 100.0
 #: Rows per block that a run hands its sink, so a sink that formats or
 #: reduces each block holds no more than this many rows of the run.
 BLOCK_ROWS = 4096
-
-#: Capacity asked for the pipe from an integrating child: 1 MiB, Linux's
-#: default limit, holds a few blocks. The default 64 KiB holds less than one,
-#: yet the overlap still saves about a third of the time of one process.
-PIPE_BYTES = 1 << 20
-
 
 class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the boundedness guard or turns non-finite."""
@@ -250,11 +255,13 @@ class Sink:
     :meth:`rows` gives the rows one at a time, and :meth:`column` gives a
     column. A row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a
     lone neuron, ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
-    Hdot_post)`` for a pair. ``len()`` is the number of rows handed over so
-    far, counted in ``handed``. A run that stops
-    with :class:`DivergenceError` does not hand over its last partial block.
-    The rows are counted, and :meth:`put` is called, in the caller's
-    process.
+    Hdot_post)`` for a pair. When one sender drives several receivers, each
+    receiver has its own sink, and they share the budget: each gets blocks
+    of ``BLOCK_ROWS // N`` rows for N receivers, so together they hold no
+    more rows at once than one run. ``len()`` is the number of rows handed
+    over so far, counted in ``handed``. A run that stops with
+    :class:`DivergenceError` does not hand over its last partial block. The
+    rows are counted, and :meth:`put` is called, in the caller's process.
     """
 
     handed = 0
@@ -344,228 +351,178 @@ def _bind(j: int, P) -> dict:
     return {f"{name}_{j}": value for name, value in zip(PARAM_INDEX, P)}
 
 
-def _lone_kernels(params: NeuronParams, dt: float):
-    """``(step, row)`` of the lone neuron, generated from the tables:
-    ``step(S)`` is one RK4 step of the 4-component state and ``row(t, S)``
-    the recorded sample ``(t, x, y, z, w, H, Hdot)``."""
-    env = {**_bind(0, astuple(params)), "dt": dt}
-    step = _rk4_kernel("step", 4, lambda u, k: _renamed(FIELD, _names(0, u, k)), env)
-    v = ("v0", "v1", "v2", "v3")
-    row = compile_kernel(
-        "row", "t, S", [("v0, v1, v2, v3", "S"), *_renamed(ENERGY, _names(0, v))],
-        "(t, v0, v1, v2, v3, H_0, Hdot_0)", env,
-    )
-    return step, row
+def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
+    """``(idle, active, row, inside)`` of a sender with parameters ``pre``
+    that drives ``receivers`` (none for a lone neuron), generated from the
+    tables.
 
-
-def _pair_kernels(config: PairConfig, dt: float):
-    """``(idle, active, row)`` of the pair, generated from the tables:
-    ``idle(S)`` and ``active(S)`` are one RK4 step of the joint state without
-    and with the law, :data:`PAIR`'s ``dq`` row, and ``row(t, S)`` is the
-    sample ``(t, *S, H_pre, Hdot_pre, H_post, Hdot_post)``. The receiver
-    reads the live ``q`` in place of the adapted target."""
-    adapt = config.adaptation
-    target = _target(config)
-    sens_row, sens = SENSITIVITY_EXPR[target]
-    env = {
-        **_bind(0, astuple(config.pre)),
-        **_bind(1, astuple(config.post)),
-        "K": config.K,
-        "neg_gain": -adapt.gain if adapt else 0.0,
-        "dt": dt,
-    }
+    The state ``S`` holds the sender's 4 components, then 5 per receiver:
+    its 4 and the live ``q`` of its adapted parameter. ``idle(S)`` and
+    ``active(S)`` are one RK4 step of the whole state without and with the
+    receivers' laws: each neuron's :data:`FIELD`, with the live ``q`` in
+    place of a receiver's adapted target, then each receiver's :data:`PAIR`
+    rows, its names renamed with its own suffix and its own ``K``, gain and
+    parameters bound. ``row(t, S, puts)`` hands one recorded row per sink to
+    ``puts[j]``: the lone neuron's ``(t, x, y, z, w, H, Hdot)``, or receiver
+    ``j``'s pair sample ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
+    Hdot_post)``. ``inside(S)`` is true when every neuron's state lies
+    inside the divergence bound, every ``q`` is finite and every adapted
+    ``a``, ``m`` or ``s`` keeps the sign it starts with; false for NaN.
+    """
+    n = 4 + 5 * len(receivers)
+    offsets = range(4, n, 5)
+    v = [f"v{i}" for i in range(n)]
+    env = {**_bind(0, astuple(pre)), "dt": dt, "bound": DIVERGENCE_BOUND, "inf": math.inf}
+    tests = [f"-bound < {x} < bound" for x in v[:4]]
+    energies = _renamed(ENERGY, _names(0, v[:4]))
+    rows = []
+    for j, (config, o) in enumerate(zip(receivers, offsets), 1):
+        adapt, target = config.adaptation, _target(config)
+        env.update(_bind(j, astuple(config.post)))
+        env.update({f"K_{j}": config.K, f"neg_gain_{j}": -adapt.gain if adapt else 0.0,
+                    f"sign_{j}": getattr(config.post, target)})
+        tests += [f"-bound < {x} < bound" for x in v[o : o + 4]] + [f"-inf < {v[o + 4]} < inf"]
+        if target in POLE_PARAMS:
+            tests.append(f"{v[o + 4]}*sign_{j} > 0.0")
+        energies += _renamed(ENERGY, _names(j, v[o : o + 4], live={target: v[o + 4]}))
+        rows.append(f"(t, v0, v1, v2, v3, {', '.join(v[o : o + 5])}, H_0, Hdot_0, H_{j}, Hdot_{j})")
 
     def derivative(active: bool):
         def body(u, k):
-            pre, post = _names(0, u[:4], k[:4]), _names(1, u[4:8], k[4:8], {target: u[8]})
-            pair = {f"{name}_{j}": local for j, names in enumerate((pre, post))
-                    for name, local in names.items()}
-            pair.update(dq=k[8], sens_0=f"({rename(sens, pre)})", row_0=u[sens_row],
-                        row_1=u[4 + sens_row])
-            coupling, (dq, law) = _renamed(PAIR, pair)
-            return [*_renamed(FIELD, pre), *_renamed(FIELD, post), coupling,
-                    (dq, law if active else "0.0")]
+            pre_names = _names(0, u[:4], k[:4])
+            sender = {f"{name}_0": local for name, local in pre_names.items()}
+            lines = _renamed(FIELD, pre_names)
+            for j, (config, o) in enumerate(zip(receivers, offsets), 1):
+                target = _target(config)
+                sens_row, sens = SENSITIVITY_EXPR[target]
+                post = _names(j, u[o : o + 4], k[o : o + 4], {target: u[o + 4]})
+                pair = {**sender, **{f"{name}_1": local for name, local in post.items()}}
+                pair.update(K=f"K_{j}", neg_gain=f"neg_gain_{j}", dq=k[o + 4],
+                            sens_0=f"({rename(sens, pre_names)})", row_0=u[sens_row],
+                            row_1=u[o + sens_row])
+                coupling, (dq, law) = _renamed(PAIR, pair)
+                adapts = active and config.adaptation is not None
+                lines += [*_renamed(FIELD, post), coupling, (dq, law if adapts else "0.0")]
+            return lines
 
         return body
 
-    idle = _rk4_kernel("idle", 9, derivative(False), env)
-    active = _rk4_kernel("active", 9, derivative(True), env) if adapt else idle
-    v = [f"v{j}" for j in range(9)]
-    energies = _renamed(ENERGY, _names(0, v[:4]))
-    energies += _renamed(ENERGY, _names(1, v[4:8], live={target: "v8"}))
-    row = compile_kernel(
-        "row", "t, S", [(", ".join(v), "S"), *energies],
-        f"(t, {', '.join(v)}, H_0, Hdot_0, H_1, Hdot_1)", env,
-    )
-    return idle, active, row
+    idle = _rk4_kernel("idle", n, derivative(False), env)
+    adapting = any(config.adaptation for config in receivers)
+    active = _rk4_kernel("active", n, derivative(True), env) if adapting else idle
+    unpack = (", ".join(v), "S")
+    rows = rows or ["(t, v0, v1, v2, v3, H_0, Hdot_0)"]
+    handed = ", ".join(f"puts[{j}]({r})" for j, r in enumerate(rows))
+    row = compile_kernel("row", "t, S, puts", [unpack, *energies], f"({handed},)", env)
+    inside = compile_kernel("inside", "S", [unpack], " and ".join(tests), env)
+    return idle, active, row, inside
 
 
-def _inside_kernel(n: int, guarded: int):
-    """``inside(S)``: true when the first ``guarded`` of the ``n`` components
-    lie inside the divergence bound and the rest are finite; false for NaN."""
-    v = [f"v{j}" for j in range(n)]
-    tests = [f"-bound < {x} < bound" for x in v[:guarded]]
-    tests += [f"-inf < {x} < inf" for x in v[guarded:]]
-    env = {"bound": DIVERGENCE_BOUND, "inf": math.inf}
-    return compile_kernel("inside", "S", [(", ".join(v), "S")], " and ".join(tests), env)
+def _fault(values: tuple, i: int, dt: float, config: PairConfig | None = None):
+    """The :class:`DivergenceError` that stops the pair ``config`` whose
+    state ``(*pre, *post, q)`` after step ``i`` is ``values``, or, without
+    ``config``, a lone neuron whose state is; None if it may go on. A
+    non-finite value stops it at the step's start time; otherwise a state
+    component at or past the bound, and then an adapted ``a``, ``m`` or
+    ``s`` that lost the sign it starts with, stop it at the step's end."""
+    t, end = i * dt, (i + 1) * dt
+    signed = config and _target(config)
+    if not all(map(math.isfinite, values)):
+        return DivergenceError(t, f"non-finite state after step at t={t:g}")
+    if not all(-DIVERGENCE_BOUND < x < DIVERGENCE_BOUND for x in values[:8]):
+        return DivergenceError(
+            end, f"state left the boundedness guard (|component| >= {DIVERGENCE_BOUND:g})"
+                 f" at t={end:g}")
+    if signed in POLE_PARAMS and not values[8] * getattr(config.post, signed) > 0.0:
+        return DivergenceError(
+            end, f"adapted parameter {signed!r} reached zero or changed sign at t={end:g};"
+                 " the energy divides by a and m*s")
+    return None
 
 
-def _integrate(spec: SimSpec, state: tuple, idle, active, start: float,
-               guarded: int, row, emit, signed: str | None = None) -> None:
-    """RK4 from t=0 to ``spec.t_end``, emitting the recorded samples in blocks.
+def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig], kernels,
+               emits, stop=None) -> None:
+    """RK4 from t=0 to ``spec.t_end`` of a sender with parameters ``pre``
+    that drives ``receivers``, which share one adaptation start, emitting
+    the recorded samples of each sink in blocks: ``emits[j]`` gets receiver
+    ``j``'s, or, without receivers, the lone neuron's. ``kernels`` are
+    :func:`_kernels` of ``pre`` and ``receivers``.
 
-    A step is ``active(state)`` when its left endpoint is at or past
-    ``start``, else ``idle(state)``. A step whose result is not finite stops
-    the run at the step's start time. The first ``guarded`` state components
-    are held to the divergence bound; one generated test, ``inside``, checks
-    both on every step. If ``signed`` names the last component,
-    that component must keep the sign it starts with and never reach zero.
-    At each of ``spec.recorded_steps``, the floats of ``row(t, state)`` are
-    appended to a flat ``array("d")``, which goes to ``emit`` every
-    :data:`BLOCK_ROWS` rows and at the end.
+    A step is ``active(state)`` when its left endpoint is at or past the
+    adaptation start, else ``idle(state)``. One generated test, ``inside``,
+    checks every step. When it fails, each receiver is judged by
+    :func:`_fault` over its own ``(sender, receiver, q)``, the lone neuron
+    over its state. A receiver that fails gets ``stop(j, error)``, or, with
+    no ``stop``, the error is raised; its partial block is dropped, and the
+    others go on with kernels generated for them alone, so their rows keep
+    their bits. A failing sender fails every receiver. At each of
+    ``spec.recorded_steps``, each sink's row is appended to its own flat
+    ``array("d")``, which goes to its ``emit`` every
+    ``BLOCK_ROWS // len(emits)`` rows and at the end.
     """
     dt = spec.dt
     recorded = spec.recorded_steps
     rec, first = recorded.step, recorded.start
-    per_block = BLOCK_ROWS
+    per_block = max(1, BLOCK_ROWS // len(emits))
     # step index of the last row of the current block
     flush_at = first + (per_block - 1) * rec
-
-    block = array("d")
-    put = block.extend
+    start = min((c.adaptation.start_time for c in receivers if c.adaptation), default=math.inf)
+    post = spec.initial_post.as_tuple()
+    state = (*spec.initial_pre.as_tuple(),
+             *(x for c in receivers for x in (*post, getattr(c.post, _target(c)))))
+    ids = list(range(len(receivers)))
+    emits = list(emits)
+    idle, active, row, inside = kernels
+    blocks = [array("d") for _ in emits]
+    puts = [block.extend for block in blocks]
     n_steps = spec.n_steps
-    sign = state[-1]
-    inside = _inside_kernel(len(state), guarded)
     for i in range(n_steps + 1):
         t = i * dt
         if i >= first and i % rec == 0:
-            put(row(t, state))
+            row(t, state, puts)
             if i == flush_at:
-                emit(block)
-                block = array("d")
-                put = block.extend
+                for emit, block in zip(emits, blocks):
+                    emit(block)
+                blocks = [array("d") for _ in emits]
+                puts = [block.extend for block in blocks]
                 flush_at += per_block * rec
         if i == n_steps:
             break
         state = active(state) if t >= start else idle(state)
         if not inside(state):
-            if not all(map(math.isfinite, state)):
-                raise DivergenceError(t, f"non-finite state after step at t={t:g}")
-            raise DivergenceError(
-                (i + 1) * dt,
-                f"state left the boundedness guard (|component| >= {DIVERGENCE_BOUND:g})"
-                f" at t={(i + 1) * dt:g}",
-            )
-        if signed and not state[-1] * sign > 0.0:
-            raise DivergenceError(
-                (i + 1) * dt,
-                f"adapted parameter {signed!r} reached zero or changed sign at"
-                f" t={(i + 1) * dt:g}; the energy divides by a and m*s",
-            )
-    if block:
-        emit(block)
+            if not receivers:
+                raise _fault(state, i, dt)
+            parts = [state[o : o + 5] for o in range(4, len(state), 5)]
+            faults = [_fault(state[:4] + part, i, dt, c) for c, part in zip(receivers, parts)]
+            if stop is None:
+                raise next(filter(None, faults))
+            for j, error in zip(ids, faults):
+                if error:
+                    stop(j, error)
+            kept = [error is None for error in faults]
+            receivers, ids, emits, blocks, parts = (
+                list(compress(items, kept)) for items in (receivers, ids, emits, blocks, parts))
+            if not receivers:
+                return
+            state = tuple(chain(state[:4], *parts))
+            puts = [block.extend for block in blocks]
+            idle, active, row, inside = _kernels(pre, receivers, dt)
+    for emit, block in zip(emits, blocks):
+        if block:
+            emit(block)
 
 
-class _Child:
-    """A forked child process that runs ``work(send)``, then sends its
-    outcome: the value ``work`` returned, or the exception that stopped it.
+def _hand(sink: Sink, width: int):
+    """``hand(block)``: give ``sink`` the floats of ``block`` as counted rows,
+    a read-only ``memoryview`` cast to ``(n, width)``."""
 
-    ``send(data)`` passes the bytes of ``data`` to this process as one
-    message, through a pipe whose capacity bounds how far the child runs
-    ahead. The child never returns or raises into the caller's frames: they
-    would stage, rename or delete the caller's output files. :meth:`result`
-    reads the child from this process, and :meth:`close` reaps it.
-    """
+    def hand(block) -> None:
+        flat = memoryview(block).toreadonly().cast("B")
+        rows = flat.cast("d", (len(flat) // (8 * width), width))
+        sink.handed += len(rows)
+        sink.put(rows)
 
-    def __init__(self, work):
-        import fcntl
-        import pickle
-
-        reader, writer = os.pipe()
-        try:
-            fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except (AttributeError, OSError):
-            pass  # not Linux, or above the host's limit: a 64 KiB pipe overlaps too
-
-        def send(data) -> None:
-            view = memoryview(data).cast("B")
-            for chunk in (len(view).to_bytes(8, "little"), view):
-                while chunk:
-                    chunk = chunk[os.write(writer, chunk):]
-
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(reader)
-            os.close(writer)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(reader)
-                try:
-                    outcome = work(send), None
-                except BaseException as exc:  # re-raised by the parent
-                    outcome = None, exc
-                send(b"")
-                send(pickle.dumps(outcome))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(writer)
-        self.pid, self.reader = pid, reader
-
-    def fileno(self) -> int:
-        return self.reader
-
-    def _read(self, size: int) -> bytearray:
-        """The child's next ``size`` bytes, in a fresh buffer."""
-        buffer = bytearray(size)
-        view = memoryview(buffer)
-        while view:
-            got = os.readv(self.reader, [view])
-            if not got:
-                raise ChildProcessError("a forked process ended before it sent its outcome")
-            view = view[got:]
-        return buffer
-
-    def _receive(self) -> bytearray:
-        """The child's next message."""
-        return self._read(int.from_bytes(self._read(8), "little"))
-
-    def result(self, hand=None):
-        """Hand each message the child sends to ``hand``, in order, then
-        reap the child and return its value or raise its exception. If the
-        child ended before it sent its outcome, raise
-        :class:`ChildProcessError`. On any error here the child is killed
-        before it is reaped."""
-        import pickle
-
-        try:
-            while message := self._receive():
-                hand(message)
-                del message  # not held while the next one is received
-            value, error = pickle.loads(self._receive())
-        except BaseException:
-            self.close(kill=True)
-            raise
-        self.close()
-        if error is not None:
-            raise error
-        return value
-
-    def close(self, kill: bool = False) -> None:
-        """Reap the child once, with ``kill`` ending it first: it may have
-        much of its run left."""
-        import signal
-
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        os.close(self.reader)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    return hand
 
 
 def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
@@ -574,28 +531,35 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     process, and return the sink (a new :class:`Collector` when ``sink`` is
     None).
 
-    A run of one block has nothing to overlap and a :class:`Collector` (the
-    sweep's window sink among them) gains nothing from a second process, so
-    those, and hosts with one core or without ``os.fork``, integrate in
-    process. Otherwise a forked :class:`_Child` emits each block's bytes to
-    this process, which hands the blocks to ``sink`` in order and raises the
-    exception that stopped the child's run, if any.
+    A run of one block has nothing to overlap and a :class:`Collector` gains
+    nothing from a second process, so those, and hosts with one core or
+    without ``os.fork``, integrate in process. Otherwise a forked
+    :class:`hrsync.fork.Child` emits each block's bytes to this process, which hands
+    the blocks to ``sink`` in order and raises the exception that stopped
+    the child's run, if any.
     """
     if sink is None:
         sink = Collector()
-
-    def hand(block) -> None:
-        flat = memoryview(block).toreadonly().cast("B")
-        rows = flat.cast("d", (len(flat) // (8 * width), width))
-        sink.handed += len(rows)
-        sink.put(rows)
-
+    hand = _hand(sink, width)
     if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
             or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")):
         integrate(hand)
     else:
-        _Child(integrate).result(hand)
+        Child(integrate).result(hand)
     return sink
+
+
+def _drive(spec: SimSpec, configs: Sequence[PairConfig], sinks: Sequence[Sink]) -> list:
+    """Integrate, in this process, one sender driving the receivers of
+    ``configs``, which share its parameters ``pre`` and their adaptation
+    start, and hand receiver ``j``'s pair rows to ``sinks[j]``. A receiver
+    that diverges stops alone. Returns, per receiver, the
+    :class:`DivergenceError` that stopped it, or None."""
+    errors = [None] * len(configs)
+    pre = configs[0].pre
+    _integrate(spec, pre, configs, _kernels(pre, configs, spec.dt),
+               [_hand(sink, 14) for sink in sinks], errors.__setitem__)
+    return errors
 
 
 def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
@@ -606,15 +570,10 @@ def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
     neuron uses the live adapted value. Returns the :class:`Trajectory`, or,
     given a ``sink``, hands it the rows and returns the sink.
     """
-    adapt = config.adaptation
-    start = adapt.start_time if adapt is not None else math.inf
-    target = _target(config)
-    q = getattr(config.post, target)
-    joint = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), q)
-    idle, active, row = _pair_kernels(config, spec.dt)
-    signed = target if target in POLE_PARAMS else None
-    rows = _stream(spec, sink, 14, lambda emit: _integrate(spec, joint, idle, active, start, 8,
-                                                           row, emit, signed))
+    # generated before the run may fork, so a forked child inherits them
+    kernels = _kernels(config.pre, [config], spec.dt)
+    rows = _stream(spec, sink, 14, lambda emit: _integrate(spec, config.pre, [config], kernels,
+                                                           [emit]))
     return Trajectory.of_pair_rows(rows.table(14)) if sink is None else rows
 
 
@@ -625,10 +584,8 @@ def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
     and returns the sink. In the trajectory the lone neuron fills both state
     slots (so the error is zero), and ``q`` is its constant external current.
     """
-    step, row = _lone_kernels(params, spec.dt)
-    start = spec.initial_pre.as_tuple()
-    rows = _stream(spec, sink, 7, lambda emit: _integrate(spec, start, step, step, math.inf, 4,
-                                                          row, emit))
+    kernels = _kernels(params, [], spec.dt)
+    rows = _stream(spec, sink, 7, lambda emit: _integrate(spec, params, [], kernels, [emit]))
     if sink is not None:
         return rows
     import numpy as np

@@ -8,11 +8,14 @@ provided for derivative cross-checks.
 The float references are written by hand: :func:`rk4_step` and the pair
 equations :func:`coupled_derivative`, over the per-point kernels ``field``
 and :data:`SENSITIVITY`. The steps that runs generate from the expression
-tables must equal them bit for bit.
+tables must equal them bit for bit. :class:`Fold` is the constant fold of
+:mod:`hrsync.codegen` as it was first written, one walk of the subtree per
+operation; the generated source must be the one it gives.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -20,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from hrsync.codegen import _evaluate
 from hrsync.model import FIELD, PARAM_INDEX, SENSITIVITY_EXPR, NeuronParams, field, point_kernel
 from hrsync.sim import DivergenceError, PairConfig
 
@@ -168,3 +172,27 @@ def coupled_derivative(joint, config: PairConfig, t: float) -> np.ndarray:
     dx2, dy2, dz2, dw2 = field(x2, y2, z2, w2, P_post)
     d1 = field(x1, y1, z1, w1, P_pre)
     return np.array((*d1, dx2 + config.K * (x1 - x2), dy2, dz2, dw2, dq))
+
+
+class Fold(ast.NodeTransformer):
+    """Bind each largest subexpression that uses only constants (and at least
+    one of them) as a new constant in ``env``: at every operation, the set of
+    names in its whole subtree is compared with ``env``."""
+
+    def __init__(self, env: dict):
+        self.env = env
+        self.keys: dict[str, str] = {}
+
+    def __call__(self, tree: ast.AST) -> ast.AST:
+        return self.visit(tree)
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if names and names <= self.env.keys():
+                text = ast.unparse(node)
+                if text not in self.keys:
+                    self.keys[text] = key = f"_c{len(self.keys)}"
+                    self.env[key] = _evaluate(node, self.env)
+                return ast.copy_location(ast.Name(self.keys[text], ast.Load()), node)
+        return self.generic_visit(node)

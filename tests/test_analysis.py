@@ -15,7 +15,15 @@ from hrsync.analysis import (
     windowed_average,
 )
 from hrsync.model import NeuronParams
-from hrsync.sim import AdaptationSpec, PairConfig, SimSpec, Trajectory, run_isolated, run_pair
+from hrsync.sim import (
+    AdaptationSpec,
+    DivergenceError,
+    PairConfig,
+    SimSpec,
+    Trajectory,
+    run_isolated,
+    run_pair,
+)
 
 CANON = NeuronParams.canonical(I=3.024)
 QUIET = NeuronParams.canonical(I=0.85)
@@ -118,7 +126,7 @@ class TestWindowedAverage:
         v = rng.normal(size=300) * 10.0 ** rng.integers(-8, 8, size=300)
         whole = windowed_average(t, v, 2.0).values
         mean = TrailingMean(2.0, 0.2, len(v))
-        parts = [mean.push(v[lo : lo + block]) for lo in range(0, len(v), block)]
+        parts = [list(mean.push(v[lo : lo + block])) for lo in range(0, len(v), block)]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -175,26 +183,38 @@ class TestSyncRms:
         assert sync_rms(run, 0.0, 2.0) == old_sync_rms(run, 0.0, 2.0)
 
     def test_window_rows_give_the_bits_of_the_numpy_form(self):
+        # the sweep's window sink sums the squared errors block by block
         windows = ((5.0, 25.005), (30.0, 60.0))
-        rows = run_pair(SimSpec(dt=0.01, t_end=60.0), REFERENCE_CONFIG,
-                        analysis._WindowRows(*windows))
-        run = Trajectory.of_pair_rows(rows.table(14))
-        for window in windows:
-            assert sync_rms(rows, *window) == old_sync_rms(run, *window)
+        spec = SimSpec(dt=0.01, t_end=60.0)
+        stats = run_pair(spec, REFERENCE_CONFIG, analysis._WindowStats(*windows)).statistics()
+        run = run_pair(spec, REFERENCE_CONFIG)
+        assert stats[4:] == [old_sync_rms(run, *window) for window in windows]
 
     def test_memory_does_not_grow_with_the_window(self):
-        # 30001 rows; a copy of one column alone would take 234 KiB
-        rows = run_pair(SimSpec(dt=0.01, t_end=400.0), REFERENCE_CONFIG,
-                        analysis._WindowRows((50.0, 350.0)))
-        run = Trajectory.of_pair_rows(rows.table(14))
-        for source in (run, rows):
-            tracemalloc.start()
-            try:
-                sync_rms(source, 50.0, 350.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 64 * 1024, type(source).__name__
+        # 30001 rows; a copy of one column alone would take 234 KiB. The
+        # window sink keeps two floats, 16 bytes, of each row, and no more.
+        spec = SimSpec(dt=0.01, t_end=400.0)
+        run = run_pair(spec, REFERENCE_CONFIG)
+        tracemalloc.start()
+        try:
+            sync_rms(run, 50.0, 350.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        rows = run_pair(spec, REFERENCE_CONFIG, sim.Collector())
+        sink = analysis._WindowStats((50.0, 350.0))
+        tracemalloc.start()
+        try:
+            for lo in range(0, len(rows), sim.BLOCK_ROWS):
+                block = rows.table(14)[lo : lo + sim.BLOCK_ROWS]
+                sink.put(memoryview(block))
+                del block
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [len(kept) for kept in sink.kept[0]] == [30001, 30001]
+        assert held < 16 * 30001 * 1.2, held
 
     def test_usage_errors(self):
         run = fake_run([t * 1.0 for t in range(5)])
@@ -208,6 +228,18 @@ class TestSyncRms:
         assert sync_rms(run, 50.0, 100.0) == pytest.approx(
             REFERENCE_SYNC_RMS_50_100, rel=1e-9
         )
+
+
+def own_summary(K, spec, config, windows=((50.0, 100.0), (150.0, 200.0))):
+    """The sweep's summary of ``K``, from its own whole run."""
+    try:
+        run = run_pair(spec, dataclasses.replace(config, K=K))
+    except DivergenceError as exc:
+        nan = float("nan")
+        return SweepSummary(K, nan, nan, nan, nan, nan, nan, error=f"divergence at t={exc.t:g}")
+    means = [float(getattr(run, name)[(run.t >= lo) & (run.t <= hi)].mean())
+             for lo, hi in windows for name in ("H_post", "Hdot_post")]
+    return SweepSummary(K, *means, *(sync_rms(run, *window) for window in windows))
 
 
 class TestSweep:
@@ -281,6 +313,27 @@ class TestSweep:
         assert out[1].error is not None and "divergence" in out[1].error
         assert math.isnan(out[1].pre_adapt_avg_H)
 
+    @pytest.mark.parametrize("ks, config", [
+        ([5.0, 1e6, 0.5], REFERENCE_CONFIG),
+        # a gentle law on the receiver's a drives it through zero at t = 108.25
+        # at K = 1, and at K = 2 and 5 not before t = 200
+        ([2.0, 1.0, 5.0], PairConfig(pre=CANON, post=QUIET, adaptation=AdaptationSpec(
+            target="a", gain=0.2, start_time=100.0))),
+    ], ids=["early", "late"])
+    def test_one_core_sweep_gives_each_run_of_its_own(self, monkeypatch, ks, config):
+        # one integration drives every receiver; each summary, and each
+        # divergence, is that of the K's own run, bit for bit
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
+        drives = []
+        monkeypatch.setattr(analysis, "_drive", lambda *args: drives.append(args)
+                            or sim._drive(*args))
+        spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
+        got = sweep_K(ks, spec, config)
+        assert len(drives) == 1
+        assert [repr(dataclasses.astuple(s)) for s in got] == [
+            repr(dataclasses.astuple(own_summary(K, spec, config))) for K in ks]
+        assert [s.error is None for s in got] == [True, False, True]
+
     def test_rejects_bad_inputs(self):
         spec = SimSpec(dt=0.01, t_end=200.0)
         with pytest.raises(ValueError):
@@ -290,16 +343,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_K([1.0], spec, REFERENCE_CONFIG,
                     pre_window=(120.0, 130.0), post_window=(150.0, 200.0))
-        # only t = 0 and t = 200 are recorded, so the pre window is empty
+        # only t = 0 and t = 200 are recorded, so the pre window is empty,
+        # whether one integration runs here or one per group in children
         sparse = SimSpec(dt=0.01, t_end=200.0, record_every=20000)
-        with pytest.raises(ValueError, match=r"no samples in window \[50, 100\]"):
-            sweep_K([1.0], sparse, REFERENCE_CONFIG)
+        for ks in ([1.0], [1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"no samples in window \[50, 100\]"):
+                sweep_K(ks, sparse, REFERENCE_CONFIG)
 
     def test_k_is_checked_before_any_run(self, monkeypatch):
         def started(*args):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(analysis, "run_pair", started)
+        monkeypatch.setattr(analysis, "_drive", started)
         with pytest.raises(ValueError, match="finite"):
             sweep_K([1.0, float("nan")], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
 

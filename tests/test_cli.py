@@ -265,9 +265,9 @@ class TestSweep:
 
         def counted(*args):
             runs.append(args)
-            return sim.run_pair(*args)
+            return sim._drive(*args)
 
-        monkeypatch.setattr(analysis, "run_pair", counted)
+        monkeypatch.setattr(analysis, "_drive", counted)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)  # runs in process, counted
         assert main(["sweep", "--K-list", "0,1", "--out", str(tmp_path)]) == 4
         assert "is a directory" in capsys.readouterr().err
@@ -284,8 +284,8 @@ class TestSweep:
     ])
     def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
                                                  k_list, most_alive):
-        # one forked child per K, and on 4 cores at most 4 alive at once; a
-        # single K runs in process
+        # on 4 cores the K values make min(4, len(K)) groups, each one forked
+        # child, all alive at once; a single K runs in process
         real_fork, real_waitpid = os.fork, os.waitpid
         forks, alive, peak = [], set(), [0]
 
@@ -308,8 +308,7 @@ class TestSweep:
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
                 "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
-        assert len(forks) == (0 if most_alive is None else len(k_list.split(",")))
-        assert peak[0] == (most_alive or 0)
+        assert len(forks) == peak[0] == (most_alive or 0)
         assert not alive
 
     def test_child_that_ends_without_a_result_exits_4(self, tmp_path, monkeypatch, capsys):
@@ -320,7 +319,7 @@ class TestSweep:
                 os._exit(7)
             raise AssertionError("ran in the caller")
 
-        monkeypatch.setattr(analysis, "_sweep_one", die)
+        monkeypatch.setattr(analysis, "_sweep_group", die)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2",
                 "--out", str(tmp_path / "sweep.csv")]
@@ -352,7 +351,7 @@ class TestSweep:
             statuses.append(reaped[1])
             return reaped
 
-        monkeypatch.setattr(analysis, "_sweep_one", hang)
+        monkeypatch.setattr(analysis, "_sweep_group", hang)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(select, "poll", Interrupted)
@@ -366,7 +365,8 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_fork_runs_in_process(self, tmp_path, monkeypatch):
-        # a fork refused under a process limit runs that K here; the rest fork
+        # a fork refused under a process limit runs that group here; the
+        # other group forks
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3"]
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
@@ -381,7 +381,7 @@ class TestSweep:
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 2  # one per group
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_children_are_read_above_fd_setsize(self, monkeypatch):
@@ -865,7 +865,7 @@ def test_writers_hold_a_row_not_the_block(tmp_path, command):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert peak < listed / 4, (peak, listed)
+    assert peak < listed / 20, (peak, listed)
 
 
 @pytest.mark.parametrize(
@@ -992,7 +992,7 @@ print(json.dumps([os.getpid(), code, *(name in sys.modules for name in
 @pytest.mark.parametrize("argv, forks", [
     (("isolated", "--t-end", "5", "--plot"), False),
     (("pair", "--t-end", "50", "--plot"), True),  # 5001 rows: the child integrates
-    (("sweep", "--K-list", "0,1", "--t-end", "20", "--adapt-at", "10"), True),  # a child per K
+    (("sweep", "--K-list", "0,1", "--t-end", "20", "--adapt-at", "10"), True),  # a child per group
 ])
 def test_cli_never_imports_numpy(tmp_path, argv, forks):
     log = tmp_path / "log.jsonl"

@@ -8,7 +8,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hrsync import sim
+from hrsync import codegen, sim
 from hrsync.analysis import sweep_K
 from hrsync.energy import energy_terms
 from hrsync.model import ADAPTABLE_PARAMS, PARAM_INDEX, NeuronParams, NeuronState, field
@@ -19,13 +19,19 @@ from hrsync.sim import (
     SimSpec,
     Sink,
     Trajectory,
-    _lone_kernels,
-    _pair_kernels,
+    _kernels,
     run_isolated,
     run_pair,
 )
 
-from oracles import as_floats, coupled_derivative, fd_param_sensitivity, field_exact, rk4_step
+from oracles import (
+    Fold,
+    as_floats,
+    coupled_derivative,
+    fd_param_sensitivity,
+    field_exact,
+    rk4_step,
+)
 
 CANON = NeuronParams.canonical(I=3.024)
 QUIET = NeuronParams.canonical(I=0.85)
@@ -510,11 +516,18 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def recorded(row, t, state, sinks=1):
+    """The rows that the generated ``row`` hands its ``sinks`` at ``t``."""
+    rows = [[] for _ in range(sinks)]
+    row(t, state, [r.extend for r in rows])
+    return rows
+
+
 class TestGeneratedKernels:
     """The straight-line steps and sample rows generated from the expression
     tables equal, bit for bit, the oracles' ``rk4_step`` over the per-point
-    kernels: the pair's ``coupled_derivative`` and the lone neuron's
-    ``field``."""
+    kernels: the pair's ``coupled_derivative`` (a sender with one receiver)
+    and the lone neuron's ``field`` (a sender with none)."""
 
     DT = 0.01
 
@@ -531,7 +544,7 @@ class TestGeneratedKernels:
             config = PairConfig(pre=pre, post=post, K=K,
                                 adaptation=AdaptationSpec(target=target, gain=gain,
                                                           start_time=start))
-            idle, adapting, row = _pair_kernels(config, self.DT)
+            idle, adapting, row, _ = _kernels(pre, [config], self.DT)
             step = adapting if active else idle
             P_pre, P_post = astuple(pre), list(astuple(post))
             state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
@@ -541,7 +554,7 @@ class TestGeneratedKernels:
                 P_post[PARAM_INDEX[target]] = state[8]
                 want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
                         *energy_terms(*state[4:8], P_post)[:2])
-                assert bits(row(t, state)) == bits(want), K
+                assert bits(recorded(row, t, state)[0]) == bits(want), K
                 state = step(state)
                 ref = rk4_step(lambda s, t: coupled_derivative(s, config, t), ref, t, self.DT)
                 assert bits(state) == bits(ref), K
@@ -549,12 +562,14 @@ class TestGeneratedKernels:
 
     def test_lone_step_and_row(self):
         params = replace(CANON, xi=1.3)
-        step, row = _lone_kernels(params, self.DT)
+        step, same, row, _ = _kernels(params, [], self.DT)
+        assert same is step
         P = astuple(params)
         state = ref = (0.1, 0.2, 0.3, 0.1)
         for i in range(200):
             t = i * self.DT
-            assert bits(row(t, state)) == bits((t, *state, *energy_terms(*state, P)[:2]))
+            want = (t, *state, *energy_terms(*state, P)[:2])
+            assert bits(recorded(row, t, state)[0]) == bits(want)
             state = step(state)
             ref = rk4_step(lambda s, t: field(*s, P), ref, t, self.DT)
             assert bits(state) == bits(ref)
@@ -564,10 +579,110 @@ class TestGeneratedKernels:
         pre = replace(CANON, d=0.987654321)
         config = PairConfig(pre=pre, post=QUIET, K=2.345678,
                             adaptation=AdaptationSpec(target="f", gain=2.7))
-        kernels = (*_pair_kernels(config, 0.0123), *_lone_kernels(pre, 0.0123))
+        other = replace(config, K=1.5, post=replace(QUIET, d=0.5))
+        kernels = (*_kernels(pre, [config], 0.0123), *_kernels(pre, [], 0.0123),
+                   *_kernels(pre, [config, other, config], 0.0123))
         for kernel in kernels:
             for value in (0.987654321, 2.345678, 2.7, -2.7, 0.0123, QUIET.f, QUIET.I):
                 assert repr(value) not in kernel.source
+
+
+def receivers(target, adapt, ks, start=0.0, post=None):
+    """Pair configs that share the sender ``CANON`` and differ in ``K``: the
+    receiver's ``target`` starts 10% off its quiet value."""
+    post = post or replace(QUIET, **{target: 1.1 * getattr(QUIET, target)})
+    adaptation = AdaptationSpec(target=target, gain=2.7, start_time=start) if adapt else None
+    return [PairConfig(pre=CANON, post=post, K=K, adaptation=adaptation) for K in ks]
+
+
+@pytest.mark.parametrize("count, target, adapt", [(0, "I", False)] + [
+    (count, target, adapt) for count in (1, 3) for target in ADAPTABLE_PARAMS
+    for adapt in (False, True)])
+def test_fold_gives_the_source_of_the_reference_fold(monkeypatch, count, target, adapt):
+    # the one-pass fold binds the same constants, under the same names, as
+    # the fold that walked each operation's subtree
+    configs = receivers(target, adapt, (2.0, 2.7, 0.5)[:count])
+    folded = [kernel.source for kernel in _kernels(CANON, configs, 0.01)]
+    monkeypatch.setattr(codegen, "_Fold", Fold)
+    assert folded == [kernel.source for kernel in _kernels(CANON, configs, 0.01)]
+
+
+class TestReceivers:
+    """One sender driving several receivers: each receiver's rows, and the
+    error that stops it, are those of its own pair run, bit for bit."""
+
+    # with the law from t = 2, the adapted a reaches zero from t = 3.86 on
+    SPEC = SimSpec(dt=0.01, t_end=3.5, record_every=2)
+
+    @staticmethod
+    def own_run(spec, config):
+        """The blocks, as lists, and the error of ``config``'s own pair run."""
+        sink = Blocks()
+        try:
+            run_pair(spec, config, sink)
+        except DivergenceError as exc:
+            return [b.tolist() for b in sink.blocks], (exc.t, str(exc))
+        return [b.tolist() for b in sink.blocks], None
+
+    def drive(self, spec, configs):
+        """Each receiver's blocks, as lists, and error, from one run."""
+        sinks = [Blocks() for _ in configs]
+        errors = sim._drive(spec, configs, sinks)
+        return [([b.tolist() for b in sink.blocks], error and (error.t, str(error)))
+                for sink, error in zip(sinks, errors)]
+
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    @pytest.mark.parametrize("adapt", [False, True], ids=["fixed", "adapting"])
+    @pytest.mark.parametrize("target", ["I", "f", "a"])
+    def test_each_receiver_is_its_own_pair_run(self, target, adapt, count):
+        configs = receivers(target, adapt, (0.5, 2.7, 0.0, 5.0, 1.3)[:count], start=2.0)
+        sinks = [sim.Collector() for _ in configs]
+        assert sim._drive(self.SPEC, configs, sinks) == [None] * count
+        for config, sink in zip(configs, sinks):
+            assert Trajectory.of_pair_rows(sink.table(14)) == run_pair(self.SPEC, config)
+
+    def test_receivers_share_the_block_rows(self, monkeypatch):
+        # three receivers get blocks of 10 // 3 rows each, so together they
+        # hold no more rows at once than one run
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+        for blocks, error in self.drive(self.SPEC, receivers("I", True, (0.5, 1.0, 2.0))):
+            assert error is None
+            assert [len(block) for block in blocks] == [3] * 58 + [2]
+
+    @pytest.mark.parametrize("block_rows", [10, 4096])
+    def test_a_failing_receiver_stops_alone(self, monkeypatch, block_rows):
+        # K = 1e6 fails early; the rest go on with their own bits, and the
+        # failed one keeps only its full blocks, as its own run does
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        spec = SimSpec(dt=0.01, t_end=10.0)
+        configs = receivers("I", True, (5.0, 1e6, 0.5), start=1.0)
+        got = self.drive(spec, configs)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows // 3)
+        want = [self.own_run(spec, config) for config in configs]
+        assert [error for _, error in want] == [None, want[1][1], None]
+        assert want[1][1] is not None
+        assert got == want
+
+    def test_late_pole_stops_only_its_receiver(self):
+        # with m = 0.01 the law drives the adapted m through zero just after
+        # it starts at t = 100 at K = 2 and 5, and away from zero at K = 0.5
+        spec = SimSpec(dt=0.01, t_end=110.0, record_every=10)
+        configs = receivers("m", True, (2.0, 0.5, 5.0), start=100.0, post=replace(QUIET, m=0.01))
+        got = self.drive(spec, configs)
+        assert got == [self.own_run(spec, config) for config in configs]
+        assert [error is None for _, error in got] == [False, True, False]
+        assert all(100.0 < error[0] < 101.0 for _, error in (got[0], got[2]))
+        assert "adapted parameter 'm'" in got[0][1][1]
+
+    def test_a_failing_sender_stops_every_receiver(self):
+        # dx/dt = x^2 from 1 blows the sender up near t = 1
+        runaway = NeuronParams(a=1, b=1, c=0, d=0, xi=0, I=0, e=0, f=0, g=0,
+                               m=1, s=1, h=0, n=0, k=0, r=0, l=0, p=-1)
+        spec = SimSpec(dt=0.001, t_end=2.0, initial_pre=NeuronState(1, 0, 0, 0))
+        configs = [replace(config, pre=runaway) for config in receivers("I", True, (0.5, 5.0))]
+        got = self.drive(spec, configs)
+        assert got == [self.own_run(spec, config) for config in configs]
+        assert all(error is not None and 0.9 < error[0] < 1.05 for _, error in got)
 
 
 class TestIndependentIntegrator:
