@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import add, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .fork import Child
@@ -245,13 +245,33 @@ class _WindowStats(Sink):
         return means + rms
 
 
+def _window_steps(spec: SimSpec, windows) -> list[range]:
+    """The recorded steps ``i`` of ``spec`` whose time ``t = i*dt`` (the
+    time :meth:`_WindowStats.put` bisects by) lies in one of ``windows``, as
+    sorted, disjoint ranges: windows that touch or overlap are joined, so a
+    row they share is computed once. An empty window raises ValueError."""
+    steps, time = spec.recorded_steps, partial(mul, spec.dt)  # dt*i == i*dt
+    union: list[range] = []
+    for lo, hi in sorted(windows):
+        part = steps[bisect_left(steps, lo, key=time) : bisect_right(steps, hi, key=time)]
+        if not part:
+            raise ValueError(f"no samples in window [{lo:g}, {hi:g}]")
+        if union and part.start <= union[-1].stop:  # a slice stops a step past its end
+            union[-1] = range(union[-1].start, max(union[-1].stop, part.stop), part.step)
+        else:
+            union.append(part)
+    return union
+
+
 def _sweep_group(configs: Sequence[PairConfig], spec: SimSpec,
                  windows: tuple[tuple[float, float], ...]) -> list[SweepSummary]:
     """The summaries of ``configs``, which differ only in ``K``, from one
-    integration of their shared sender that drives every receiver."""
+    integration of their shared sender that drives every receiver and
+    computes only the rows inside ``windows``."""
     sinks = [_WindowStats(*windows) for _ in configs]
+    recorded = _window_steps(spec, windows)
     summaries = []
-    for config, sink, error in zip(configs, sinks, _drive(spec, configs, sinks)):
+    for config, sink, error in zip(configs, sinks, _drive(spec, configs, sinks, recorded)):
         if error is None:
             summaries.append(SweepSummary(config.K, *sink.statistics()))
         else:
@@ -271,17 +291,19 @@ def sweep_K(
 ) -> list[SweepSummary]:
     """One coupled run per coupling strength, summarized per window.
 
-    Every run's :class:`PairConfig`, which checks its ``K``, is built before
-    any run starts. The runs share their sender, so the K values are split
-    into ``min(cores, len(k_values))`` groups of consecutive values, and one
-    integration of the sender drives every receiver of a group. Each group
-    runs in its own forked child, all started at once, which sends back its
-    summaries, or the exception that stopped it. A single group (one K or
-    one core), a host without ``os.fork`` and a group whose child cannot be
-    forked run in process. Output order matches the input order. A
-    diverging run yields a summary with its ``error`` field set; the other
-    runs are unaffected and keep the bits of a run of their own. On any
-    error here, every live child is killed and reaped.
+    Every run's :class:`PairConfig`, which checks its ``K``, is built, and
+    every window is checked to hold a recorded step, before any run starts.
+    A run computes only the rows inside its windows. The runs share their
+    sender, so the K values are split into ``min(cores, len(k_values))``
+    groups of consecutive values, and one integration of the sender drives
+    every receiver of a group. Each group runs in its own forked child, all
+    started at once, which sends back its summaries, or the exception that
+    stopped it. A single group (one K or one core), a host without
+    ``os.fork`` and a group whose child cannot be forked run in process.
+    Output order matches the input order. A diverging run yields a summary
+    with its ``error`` field set; the other runs are unaffected and keep the
+    bits of a run of their own. On any error here, every live child is
+    killed and reaped.
     """
     configs = [replace(config, K=float(K)) for K in k_values]
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
@@ -294,6 +316,7 @@ def sweep_K(
             raise ValueError(
                 "adaptation start must separate the pre and post windows"
             )
+    _window_steps(spec, (pre_window, post_window))
 
     work = partial(_sweep_group, spec=spec, windows=(pre_window, post_window))
     groups = min(os.cpu_count() or 1, len(configs))

@@ -10,7 +10,9 @@ uses only constants (such as ``xi*I`` in ``... - d*z + xi*I``) is evaluated
 once and bound as a new constant. It is a node of the expression tree, so
 the function computes the rest from the same intermediate values in the same
 order. The function reads each constant as a local variable, through a
-default argument: values never enter the source text.
+default argument: values never enter the source text. What folds depends
+only on an expression's shape, its text with each name replaced by its
+position and marked constant or not, so each shape is folded once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import ast
 import re
 from collections.abc import Callable, Mapping, Sequence
+from keyword import iskeyword
 
 __all__ = ["compile_kernel", "rename"]
 
@@ -29,13 +32,8 @@ def rename(expr: str, names: Mapping[str, str]) -> str:
     return _IDENT.sub(lambda m: names.get(m[0], m[0]), expr)
 
 
-def _names(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _evaluate(node: ast.expr, env: Mapping[str, object]):
-    code = compile(ast.fix_missing_locations(ast.Expression(node)), "<hrsync table>", "eval")
-    return eval(code, {"__builtins__": {}}, env)
+def _evaluate(expr: str, env: Mapping[str, object]):
+    return eval(compile(expr, "<hrsync table>", "eval"), {"__builtins__": {}}, env)
 
 
 class _Fold(ast.NodeTransformer):
@@ -73,7 +71,7 @@ class _Fold(ast.NodeTransformer):
             text = ast.unparse(node)
             if text not in self.keys:
                 self.keys[text] = key = f"_c{len(self.keys)}"
-                self.env[key] = _evaluate(node, self.env)
+                self.env[key] = _evaluate(text, self.env)
             return ast.copy_location(ast.Name(self.keys[text], ast.Load()), node)
         return self.generic_visit(node)
 
@@ -88,19 +86,40 @@ def compile_kernel(name: str, args: str, body: Sequence[tuple[str, str]], result
     come from the in-repo tables and validated parameter names only.
     """
     env = dict(env or {})
-    fold = _Fold(env)
+    keys: dict[str, str] = {}  # text of a folded constant -> its name in env
+    shapes: dict[str, tuple[str, dict[str, str]]] = {}  # -> folded text, its constants' keys
+
+    def fold(expr: str) -> str:
+        # the i-th distinct name becomes _k<i> if it is a constant, else _v<i>
+        names = dict.fromkeys(n for n in _IDENT.findall(expr) if not iskeyword(n))
+        slots = {n: f"_{'k' if n in env else 'v'}{i}" for i, n in enumerate(names)}
+        shape = rename(expr, slots)
+        if shape not in shapes:
+            folder = _Fold({slot: env[n] for n, slot in slots.items() if n in env})
+            text = ast.unparse(folder(ast.parse(shape, mode="eval").body))
+            shapes[shape] = text, folder.keys
+        text, constants = shapes[shape]
+        back = {slot: n for n, slot in slots.items()}
+        for sub, key in constants.items():
+            sub = rename(sub, back)
+            if sub not in keys:
+                keys[sub] = f"_c{len(keys)}"
+                env[keys[sub]] = _evaluate(sub, env)
+            back[key] = keys[sub]
+        return rename(text, back)
+
     lines, variables = [], set()
     for target, expr in body:
-        tree = ast.parse(expr, mode="eval").body
         targets = {local.strip() for local in target.split(",")}
         if targets & env.keys():
             raise ValueError(f"{name}: constant {target!r} is assigned again")
-        if target.isidentifier() and target not in variables and _names(tree) <= env.keys():
-            env[target] = _evaluate(tree, env)
+        if (target.isidentifier() and target not in variables
+                and set(_IDENT.findall(expr)) <= env.keys()):
+            env[target] = _evaluate(expr, env)
             continue
         variables |= targets
-        lines.append(f"    {target} = {ast.unparse(fold(tree))}\n")
-    lines.append(f"    return {ast.unparse(fold(ast.parse(result, mode='eval').body))}\n")
+        lines.append(f"    {target} = {fold(expr)}\n")
+    lines.append(f"    return {fold(result)}\n")
     used = sorted(set(_IDENT.findall("".join(lines))) & env.keys())
     defaults = "".join(f", {c}={c}" for c in used)
     source = f"def {name}({args}{defaults}):\n" + "".join(lines)

@@ -37,19 +37,20 @@ do. The energy divides by ``a`` and ``m*s``, so a run that adapts ``a``,
 reaches zero or changes sign. Of several receivers, one that diverges stops
 alone, and a sender that diverges stops them all.
 
-One integration loop emits the recorded samples as flat blocks of floats,
+One integration loop computes the rows of the recorded steps alone, which
+it takes as ranges of step indices, and emits them as flat blocks of floats,
 one series of blocks per sink. :func:`_stream` hands each block to a
 :class:`Sink` as a read-only 2-D ``memoryview`` of its rows, so a caller
 that formats or reduces each block holds no more than one block of the run,
-and imports no numpy. Without a
-sink, a :class:`Collector` keeps every row and the run returns a columnar
-:class:`Trajectory` of numpy arrays; only such runs import numpy. Runs are
-deterministic: identical specs and configs produce bit-identical rows on a
-given build. On two or more cores, a run of several blocks with a sink
-other than a :class:`Collector` integrates in a forked child while the
-caller's sink formats the blocks; the rows and errors are the same as in
-process. The coupling sweep (:func:`hrsync.analysis.sweep_K`) integrates
-several receivers at once, in process, through ``_drive``.
+and imports no numpy. Without a sink, a :class:`Collector` keeps every row
+and the run returns a columnar :class:`Trajectory` of numpy arrays; only
+such runs import numpy. Runs are deterministic: identical specs and configs
+produce bit-identical rows on a given build. On two or more cores, a run of
+several blocks with a sink other than a :class:`Collector` integrates in a
+forked child while the caller's sink formats the blocks; the rows and
+errors are the same as in process. The coupling sweep
+(:func:`hrsync.analysis.sweep_K`) integrates several receivers at once, in
+process, through ``_drive``, and records only the steps inside its windows.
 """
 
 from __future__ import annotations
@@ -255,7 +256,9 @@ class Sink:
     :meth:`rows` gives the rows one at a time, and :meth:`column` gives a
     column. A row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a
     lone neuron, ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
-    Hdot_post)`` for a pair. When one sender drives several receivers, each
+    Hdot_post)`` for a pair. A run computes rows at its recorded steps
+    alone: ``SimSpec.recorded_steps``, or, in the sweep, those of them
+    inside its windows. When one sender drives several receivers, each
     receiver has its own sink, and they share the budget: each gets blocks
     of ``BLOCK_ROWS // N`` rows for N receivers, so together they hold no
     more rows at once than one run. ``len()`` is the number of rows handed
@@ -441,7 +444,7 @@ def _fault(values: tuple, i: int, dt: float, config: PairConfig | None = None):
 
 
 def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig], kernels,
-               emits, stop=None) -> None:
+               emits, recorded: Sequence[range], stop=None) -> None:
     """RK4 from t=0 to ``spec.t_end`` of a sender with parameters ``pre``
     that drives ``receivers``, which share one adaptation start, emitting
     the recorded samples of each sink in blocks: ``emits[j]`` gets receiver
@@ -455,37 +458,35 @@ def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig]
     over its state. A receiver that fails gets ``stop(j, error)``, or, with
     no ``stop``, the error is raised; its partial block is dropped, and the
     others go on with kernels generated for them alone, so their rows keep
-    their bits. A failing sender fails every receiver. At each of
-    ``spec.recorded_steps``, each sink's row is appended to its own flat
-    ``array("d")``, which goes to its ``emit`` every
-    ``BLOCK_ROWS // len(emits)`` rows and at the end.
+    their bits. A failing sender fails every receiver. ``recorded`` holds
+    the indices ``i`` of the recorded steps ``t = i*dt`` as sorted, disjoint
+    ranges, and no other step computes a row. At each, each sink's row is
+    appended to its own flat ``array("d")``, which goes to its ``emit``
+    every ``BLOCK_ROWS // len(emits)`` rows and at the end.
     """
     dt = spec.dt
-    recorded = spec.recorded_steps
-    rec, first = recorded.step, recorded.start
     per_block = max(1, BLOCK_ROWS // len(emits))
-    # step index of the last row of the current block
-    flush_at = first + (per_block - 1) * rec
+    steps = chain.from_iterable(recorded)
+    at, rows = next(steps, -1), 0  # the next recorded step, the rows so far
     start = min((c.adaptation.start_time for c in receivers if c.adaptation), default=math.inf)
     post = spec.initial_post.as_tuple()
     state = (*spec.initial_pre.as_tuple(),
              *(x for c in receivers for x in (*post, getattr(c.post, _target(c)))))
     ids = list(range(len(receivers)))
-    emits = list(emits)
     idle, active, row, inside = kernels
     blocks = [array("d") for _ in emits]
     puts = [block.extend for block in blocks]
     n_steps = spec.n_steps
     for i in range(n_steps + 1):
         t = i * dt
-        if i >= first and i % rec == 0:
+        if i == at:
             row(t, state, puts)
-            if i == flush_at:
+            at, rows = next(steps, -1), rows + 1
+            if rows % per_block == 0:
                 for emit, block in zip(emits, blocks):
                     emit(block)
                 blocks = [array("d") for _ in emits]
                 puts = [block.extend for block in blocks]
-                flush_at += per_block * rec
         if i == n_steps:
             break
         state = active(state) if t >= start else idle(state)
@@ -525,11 +526,12 @@ def _hand(sink: Sink, width: int):
     return hand
 
 
-def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
-    """Run ``integrate(emit)``, hand each flat block it emits to ``sink`` as
-    counted rows, a read-only ``memoryview`` cast to ``(n, width)``, in this
-    process, and return the sink (a new :class:`Collector` when ``sink`` is
-    None).
+def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
+            receivers: Sequence[PairConfig]) -> Sink:
+    """Integrate ``pre`` driving ``receivers`` (none or one) over all of
+    ``spec.recorded_steps``, hand each block it emits to ``sink`` as counted
+    rows in this process (see :func:`_hand`), and return the sink (a new
+    :class:`Collector` when ``sink`` is None).
 
     A run of one block has nothing to overlap and a :class:`Collector` gains
     nothing from a second process, so those, and hosts with one core or
@@ -538,27 +540,29 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, integrate) -> Sink:
     the blocks to ``sink`` in order and raises the exception that stopped
     the child's run, if any.
     """
-    if sink is None:
-        sink = Collector()
+    sink = Collector() if sink is None else sink
+    # generated before the run may fork, so a forked child inherits them
+    kernels, recorded = _kernels(pre, receivers, spec.dt), [spec.recorded_steps]
     hand = _hand(sink, width)
     if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
             or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")):
-        integrate(hand)
+        _integrate(spec, pre, receivers, kernels, [hand], recorded)
     else:
-        Child(integrate).result(hand)
+        Child(lambda send: _integrate(spec, pre, receivers, kernels, [send], recorded)).result(hand)
     return sink
 
 
-def _drive(spec: SimSpec, configs: Sequence[PairConfig], sinks: Sequence[Sink]) -> list:
+def _drive(spec: SimSpec, configs: Sequence[PairConfig], sinks: Sequence[Sink],
+           recorded: Sequence[range]) -> list:
     """Integrate, in this process, one sender driving the receivers of
     ``configs``, which share its parameters ``pre`` and their adaptation
-    start, and hand receiver ``j``'s pair rows to ``sinks[j]``. A receiver
-    that diverges stops alone. Returns, per receiver, the
-    :class:`DivergenceError` that stopped it, or None."""
+    start, and hand receiver ``j``'s pair rows at the steps of ``recorded``
+    (sorted, disjoint ranges) to ``sinks[j]``. A receiver that diverges
+    stops alone. Returns, per receiver, the :class:`DivergenceError` that
+    stopped it, or None."""
     errors = [None] * len(configs)
-    pre = configs[0].pre
-    _integrate(spec, pre, configs, _kernels(pre, configs, spec.dt),
-               [_hand(sink, 14) for sink in sinks], errors.__setitem__)
+    _integrate(spec, configs[0].pre, configs, _kernels(configs[0].pre, configs, spec.dt),
+               [_hand(sink, 14) for sink in sinks], recorded, errors.__setitem__)
     return errors
 
 
@@ -570,10 +574,7 @@ def run_pair(spec: SimSpec, config: PairConfig, sink: Sink | None = None):
     neuron uses the live adapted value. Returns the :class:`Trajectory`, or,
     given a ``sink``, hands it the rows and returns the sink.
     """
-    # generated before the run may fork, so a forked child inherits them
-    kernels = _kernels(config.pre, [config], spec.dt)
-    rows = _stream(spec, sink, 14, lambda emit: _integrate(spec, config.pre, [config], kernels,
-                                                           [emit]))
+    rows = _stream(spec, sink, 14, config.pre, [config])
     return Trajectory.of_pair_rows(rows.table(14)) if sink is None else rows
 
 
@@ -584,8 +585,7 @@ def run_isolated(spec: SimSpec, params: NeuronParams, sink: Sink | None = None):
     and returns the sink. In the trajectory the lone neuron fills both state
     slots (so the error is zero), and ``q`` is its constant external current.
     """
-    kernels = _kernels(params, [], spec.dt)
-    rows = _stream(spec, sink, 7, lambda emit: _integrate(spec, params, [], kernels, [emit]))
+    rows = _stream(spec, sink, 7, params, [])
     if sink is not None:
         return rows
     import numpy as np

@@ -10,13 +10,15 @@ equations :func:`coupled_derivative`, over the per-point kernels ``field``
 and :data:`SENSITIVITY`. The steps that runs generate from the expression
 tables must equal them bit for bit. :class:`Fold` is the constant fold of
 :mod:`hrsync.codegen` as it was first written, one walk of the subtree per
-operation; the generated source must be the one it gives.
+operation, and :func:`folded_source` applies it to every line of a kernel on
+its own; the generated source must be the one they give.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import re
 from dataclasses import astuple, replace
 from fractions import Fraction
 from functools import partial
@@ -193,6 +195,26 @@ class Fold(ast.NodeTransformer):
                 text = ast.unparse(node)
                 if text not in self.keys:
                     self.keys[text] = key = f"_c{len(self.keys)}"
-                    self.env[key] = _evaluate(node, self.env)
+                    self.env[key] = _evaluate(text, self.env)
                 return ast.copy_location(ast.Name(self.keys[text], ast.Load()), node)
         return self.generic_visit(node)
+
+
+def folded_source(name, args, body, result, env=None) -> str:
+    """The source of ``hrsync.codegen.compile_kernel(name, args, body,
+    result, env)`` as it was when :class:`Fold` folded each line of the body
+    by itself."""
+    env = dict(env or {})
+    fold = Fold(env)
+    lines, variables = [], set()
+    for target, expr in body:
+        tree = ast.parse(expr, mode="eval").body
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if target.isidentifier() and target not in variables and names <= env.keys():
+            env[target] = _evaluate(expr, env)
+            continue
+        variables |= {local.strip() for local in target.split(",")}
+        lines.append(f"    {target} = {ast.unparse(fold(tree))}\n")
+    lines.append(f"    return {ast.unparse(fold(ast.parse(result, mode='eval').body))}\n")
+    used = sorted(set(re.findall(r"\b[A-Za-z_]\w*", "".join(lines))) & env.keys())
+    return f"def {name}({args}{''.join(f', {c}={c}' for c in used)}):\n" + "".join(lines)

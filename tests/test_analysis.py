@@ -355,8 +355,13 @@ class TestSweep:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(analysis, "_drive", started)
+        monkeypatch.setattr(analysis, "Child", started)
         with pytest.raises(ValueError, match="finite"):
             sweep_K([1.0, float("nan")], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
+        # nothing is recorded before t = 120, so the pre window is empty
+        late = SimSpec(dt=0.01, t_end=200.0, transient=120.0)
+        with pytest.raises(ValueError, match=r"no samples in window \[50, 100\]"):
+            sweep_K([1.0, 2.0], late, REFERENCE_CONFIG)
 
     def test_summaries_stable_under_sampling_refinement(self):
         coarse = sweep_K([5.0], SimSpec(dt=0.01, t_end=200.0, record_every=10),
@@ -371,6 +376,64 @@ class TestSweep:
         s = SweepSummary(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert s.error is None
         assert s.K == 1.0
+
+
+def in_windows(t, windows):
+    """Which of the times ``t`` lie in one of the closed ``windows``."""
+    return np.logical_or.reduce([(t >= lo) & (t <= hi) for lo, hi in windows])
+
+
+class TestRecordRanges:
+    """A sweep computes only the rows inside its windows: the recorded
+    steps whose time lies in one of them, each once."""
+
+    # every 3rd step from t = 5.52; t = 6.12, 9.0 and 20.01 are recorded times
+    SPEC = SimSpec(dt=0.01, t_end=40.0, record_every=3, transient=5.5)
+    ON, OFF = (612 * 0.01, 900 * 0.01), (7.005, 15.0)
+    SHARED = ((10.0, 2001 * 0.01), (2001 * 0.01, 30.0))
+
+    @pytest.mark.parametrize("windows", [
+        (ON, (25.0, 40.0)),
+        (OFF, (20.005, 39.999)),
+        SHARED,
+        ((1.0, 6.0), (30.0, 31.0)),  # the first starts before the transient
+        ((25.0, 35.0), (10.0, 30.0)),  # overlapping, out of order
+    ], ids=["on-grid", "off-grid", "shared-row", "transient", "overlap"])
+    def test_drive_hands_each_window_row_once(self, windows):
+        full = run_pair(self.SPEC, REFERENCE_CONFIG)
+        inside = in_windows(full.t, windows)
+        recorded = analysis._window_steps(self.SPEC, windows)
+        assert all(isinstance(part, range) for part in recorded)
+        sink = sim.Collector()
+        assert sim._drive(self.SPEC, [REFERENCE_CONFIG], [sink], recorded) == [None]
+        table = sink.table(14)
+        assert len(sink) == inside.sum() > 0
+        assert np.array_equal(Trajectory.of_pair_rows(table).t, full.t[inside])
+        assert table.tobytes() == np.column_stack([
+            full.t, full.pre, full.post, full.q, full.H_pre, full.Hdot_pre, full.H_post,
+            full.Hdot_post])[inside].tobytes()
+
+    @pytest.mark.parametrize("windows", [(ON, (25.0, 40.0)), (OFF, (20.005, 39.999)), SHARED],
+                             ids=["on-grid", "off-grid", "shared-row"])
+    def test_summary_is_that_of_every_row(self, monkeypatch, windows):
+        # small blocks, so the windows straddle them
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 100)
+        drives = []
+        monkeypatch.setattr(analysis, "_drive", lambda *args: drives.append(args)
+                            or sim._drive(*args))
+        (summary,) = analysis._sweep_group([REFERENCE_CONFIG], self.SPEC, windows)
+        every_row = run_pair(self.SPEC, REFERENCE_CONFIG, analysis._WindowStats(*windows))
+        want = SweepSummary(REFERENCE_CONFIG.K, *every_row.statistics())
+        assert repr(dataclasses.astuple(summary)) == repr(dataclasses.astuple(want))
+        # the sink was handed the window rows alone
+        ((_, _, (sink,), _),) = drives
+        assert len(sink) == in_windows(run_pair(self.SPEC, REFERENCE_CONFIG).t, windows).sum()
+
+    def test_ranges_stay_lazy(self):
+        # 10001 rows in the window; the indices are never listed
+        spec = SimSpec(dt=0.01, t_end=2000.0)
+        (part,) = analysis._window_steps(spec, [(500.0, 600.0)])
+        assert part == range(50000, 60001)
 
 
 def old_trailing_means(blocks, k):

@@ -30,6 +30,7 @@ from oracles import (
     coupled_derivative,
     fd_param_sensitivity,
     field_exact,
+    folded_source,
     rk4_step,
 )
 
@@ -607,6 +608,44 @@ def test_fold_gives_the_source_of_the_reference_fold(monkeypatch, count, target,
     assert folded == [kernel.source for kernel in _kernels(CANON, configs, 0.01)]
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("target", ["I", "f", "m"])
+def test_shape_fold_gives_the_source_of_folding_each_line(monkeypatch, count, target):
+    # one fold per distinct shape binds the constants, and names them, as
+    # folding every line by itself did
+    calls = []
+    monkeypatch.setattr(sim, "compile_kernel", lambda *args: calls.append(args)
+                        or codegen.compile_kernel(*args))
+    _kernels(CANON, receivers(target, True, (2.0, 2.7, 0.5)[:count]), 0.01)
+    assert len(calls) == 3 + (count > 0)
+    for args in calls:
+        assert codegen.compile_kernel(*args).source == folded_source(*args)
+
+
+@pytest.mark.parametrize("target, adapt", [("I", True), ("a", False), ("m", True)])
+def test_folds_do_not_grow_with_stages_or_receivers(monkeypatch, target, adapt):
+    # the four RK4 stages of a step, and receivers that differ only in K,
+    # share the fold of each distinct shape
+    fold = codegen._Fold
+
+    def folds(ks):
+        calls = []
+
+        class Counted(fold):
+            def __call__(self, tree):
+                calls.append(tree)
+                return super().__call__(tree)
+
+        monkeypatch.setattr(codegen, "_Fold", Counted)
+        idle, *_ = _kernels(CANON, receivers(target, adapt, ks), 0.01)
+        return len(calls), idle.source.count("\n")
+
+    (one, step_lines), (three, _) = folds((2.0,)), folds((2.0, 2.7, 0.5))
+    assert one == three
+    # every kernel of the set takes fewer folds than one step has lines
+    assert one < step_lines
+
+
 class TestReceivers:
     """One sender driving several receivers: each receiver's rows, and the
     error that stops it, are those of its own pair run, bit for bit."""
@@ -627,7 +666,7 @@ class TestReceivers:
     def drive(self, spec, configs):
         """Each receiver's blocks, as lists, and error, from one run."""
         sinks = [Blocks() for _ in configs]
-        errors = sim._drive(spec, configs, sinks)
+        errors = sim._drive(spec, configs, sinks, [spec.recorded_steps])
         return [([b.tolist() for b in sink.blocks], error and (error.t, str(error)))
                 for sink, error in zip(sinks, errors)]
 
@@ -637,7 +676,7 @@ class TestReceivers:
     def test_each_receiver_is_its_own_pair_run(self, target, adapt, count):
         configs = receivers(target, adapt, (0.5, 2.7, 0.0, 5.0, 1.3)[:count], start=2.0)
         sinks = [sim.Collector() for _ in configs]
-        assert sim._drive(self.SPEC, configs, sinks) == [None] * count
+        assert sim._drive(self.SPEC, configs, sinks, [self.SPEC.recorded_steps]) == [None] * count
         for config, sink in zip(configs, sinks):
             assert Trajectory.of_pair_rows(sink.table(14)) == run_pair(self.SPEC, config)
 
