@@ -30,7 +30,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .fork import Child
+from . import fork
 from .sim import PairConfig, SimSpec, Sink, Trajectory, _drive
 
 if TYPE_CHECKING:
@@ -294,12 +294,13 @@ def sweep_K(
     Every run's :class:`PairConfig`, which checks its ``K``, is built, and
     every window is checked to hold a recorded step, before any run starts.
     A run computes only the rows inside its windows. The runs share their
-    sender, so the K values are split into ``min(cores, len(k_values))``
-    groups of consecutive values, and one integration of the sender drives
-    every receiver of a group. Each group runs in its own forked child, all
-    started at once, which sends back its summaries, or the exception that
-    stopped it. A single group (one K or one core), a host without
-    ``os.fork`` and a group whose child cannot be forked run in process.
+    sender, so the K values are split into ``min(fork.cores(),
+    len(k_values))`` groups of consecutive values, and one integration of
+    the sender drives every receiver of a group. Each group runs in its own
+    forked child, all started at once, which sends back its summaries, or
+    the exception that stopped it. A single group (one K, or one CPU this
+    process may use), a host without ``os.fork`` and a group whose child
+    cannot be forked run in process.
     Output order matches the input order. A diverging run yields a summary
     with its ``error`` field set; the other runs are unaffected and keep the
     bits of a run of their own. On any error here, every live child is
@@ -319,7 +320,7 @@ def sweep_K(
     _window_steps(spec, (pre_window, post_window))
 
     work = partial(_sweep_group, spec=spec, windows=(pre_window, post_window))
-    groups = min(os.cpu_count() or 1, len(configs))
+    groups = min(fork.cores(), len(configs))
     if groups <= 1 or not hasattr(os, "fork"):
         return work(configs)
     import select
@@ -327,14 +328,14 @@ def sweep_K(
     cuts = [len(configs) * g // groups for g in range(groups + 1)]
     parts = [configs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     results: list = [None] * groups
-    live: dict[int, tuple[Child, int]] = {}  # reader -> (child, group)
+    live: dict[int, tuple[fork.Child, int]] = {}  # reader -> (child, group)
     # poll, not select: select refuses a descriptor from FD_SETSIZE (1024) on
     poll = select.poll()
     try:
         unforked = []
         for g, part in enumerate(parts):
             try:
-                child = Child(lambda send, part=part: work(part))
+                child = fork.Child(lambda send, part=part: work(part))
             except OSError:  # no process or pipe to spare: run it here
                 unforked.append(g)
                 continue

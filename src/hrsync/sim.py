@@ -45,10 +45,11 @@ that formats or reduces each block holds no more than one block of the run,
 and imports no numpy. Without a sink, a :class:`Collector` keeps every row
 and the run returns a columnar :class:`Trajectory` of numpy arrays; only
 such runs import numpy. Runs are deterministic: identical specs and configs
-produce bit-identical rows on a given build. On two or more cores, a run of
-several blocks with a sink other than a :class:`Collector` integrates in a
-forked child while the caller's sink formats the blocks; the rows and
-errors are the same as in process. The coupling sweep
+produce bit-identical rows on a given build. When the process may use two
+or more CPUs (:func:`hrsync.fork.cores`), a run of several blocks with a
+sink other than a :class:`Collector` integrates in a forked child while
+the caller's sink formats the blocks; the rows and errors are the same as
+in process. The coupling sweep
 (:func:`hrsync.analysis.sweep_K`) integrates several receivers at once, in
 process, through ``_drive``, and records only the steps inside its windows.
 """
@@ -63,9 +64,9 @@ from dataclasses import astuple, dataclass, fields
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
+from . import fork
 from .codegen import compile_kernel, rename
 from .energy import ENERGY, POLE_PARAMS
-from .fork import Child
 from .model import (
     ADAPTABLE_PARAMS,
     FIELD,
@@ -96,8 +97,10 @@ __all__ = [
 DIVERGENCE_BOUND = 100.0
 
 #: Rows per block that a run hands its sink, so a sink that formats or
-#: reduces each block holds no more than this many rows of the run.
-BLOCK_ROWS = 4096
+#: reduces each block holds no more than this many rows of the run. A forked
+#: run's caller waits for the first block before it can format anything, and
+#: 512 pair rows take the child a few ms to integrate.
+BLOCK_ROWS = 512
 
 class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the boundedness guard or turns non-finite."""
@@ -251,10 +254,10 @@ class Sink:
     """Receiver of a run's recorded rows, in time order.
 
     The run calls :meth:`put` once per :data:`BLOCK_ROWS` recorded rows (the
-    last block may be shorter) with a fresh read-only ``memoryview`` of
-    float64, cast to shape ``(n, width)``: its ``len()`` is ``n``,
-    :meth:`rows` gives the rows one at a time, and :meth:`column` gives a
-    column. A row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a
+    last block may be shorter), as soon as each block is full, with a fresh
+    read-only ``memoryview`` of float64, cast to shape ``(n, width)``: its
+    ``len()`` is ``n``, :meth:`rows` gives the rows one at a time, and
+    :meth:`column` gives a column. A row is the run's sample: ``(t, x, y, z, w, H, Hdot)`` for a
     lone neuron, ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
     Hdot_post)`` for a pair. A run computes rows at its recorded steps
     alone: ``SimSpec.recorded_steps``, or, in the sweep, those of them
@@ -462,7 +465,8 @@ def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig]
     the indices ``i`` of the recorded steps ``t = i*dt`` as sorted, disjoint
     ranges, and no other step computes a row. At each, each sink's row is
     appended to its own flat ``array("d")``, which goes to its ``emit``
-    every ``BLOCK_ROWS // len(emits)`` rows and at the end.
+    every ``BLOCK_ROWS // len(emits)`` rows and at the end, so a caller fed
+    by a forked run formats one block while the next is integrated.
     """
     dt = spec.dt
     per_block = max(1, BLOCK_ROWS // len(emits))
@@ -533,22 +537,25 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
     rows in this process (see :func:`_hand`), and return the sink (a new
     :class:`Collector` when ``sink`` is None).
 
-    A run of one block has nothing to overlap and a :class:`Collector` gains
-    nothing from a second process, so those, and hosts with one core or
-    without ``os.fork``, integrate in process. Otherwise a forked
-    :class:`hrsync.fork.Child` emits each block's bytes to this process, which hands
-    the blocks to ``sink`` in order and raises the exception that stopped
-    the child's run, if any.
+    A run of one block (at most :data:`BLOCK_ROWS` rows) has nothing to
+    overlap and a :class:`Collector` gains nothing from a second process, so
+    those integrate in process, and so does every run of a process that may
+    use one CPU alone (:func:`hrsync.fork.cores`) or of a host without
+    ``os.fork``. Otherwise a forked :class:`hrsync.fork.Child` emits each
+    block's bytes to this process as soon as the block is full; this process
+    hands the blocks to ``sink`` in order and raises the exception that
+    stopped the child's run, if any.
     """
     sink = Collector() if sink is None else sink
     # generated before the run may fork, so a forked child inherits them
     kernels, recorded = _kernels(pre, receivers, spec.dt), [spec.recorded_steps]
     hand = _hand(sink, width)
     if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
-            or (os.cpu_count() or 1) < 2 or not hasattr(os, "fork")):
+            or fork.cores() < 2 or not hasattr(os, "fork")):
         _integrate(spec, pre, receivers, kernels, [hand], recorded)
     else:
-        Child(lambda send: _integrate(spec, pre, receivers, kernels, [send], recorded)).result(hand)
+        run = lambda send: _integrate(spec, pre, receivers, kernels, [send], recorded)
+        fork.Child(run).result(hand)
     return sink
 
 

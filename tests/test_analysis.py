@@ -6,7 +6,7 @@ from operator import sub
 import numpy as np
 import pytest
 
-from hrsync import analysis, sim
+from hrsync import analysis, fork, sim
 from hrsync.analysis import (
     SweepSummary,
     TrailingMean,
@@ -294,9 +294,9 @@ class TestSweep:
     def test_parallel_and_serial_agree(self, monkeypatch):
         spec = SimSpec(dt=0.01, t_end=200.0, record_every=10)
         ks = [0.0, 5.0]
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fork, "cores", lambda: 1)
         serial = sweep_K(ks, spec, REFERENCE_CONFIG)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         parallel = sweep_K(ks, spec, REFERENCE_CONFIG)
         assert serial == parallel
 
@@ -323,7 +323,7 @@ class TestSweep:
     def test_one_core_sweep_gives_each_run_of_its_own(self, monkeypatch, ks, config):
         # one integration drives every receiver; each summary, and each
         # divergence, is that of the K's own run, bit for bit
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fork, "cores", lambda: 1)
         drives = []
         monkeypatch.setattr(analysis, "_drive", lambda *args: drives.append(args)
                             or sim._drive(*args))
@@ -355,7 +355,7 @@ class TestSweep:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(analysis, "_drive", started)
-        monkeypatch.setattr(analysis, "Child", started)
+        monkeypatch.setattr(fork, "Child", started)
         with pytest.raises(ValueError, match="finite"):
             sweep_K([1.0, float("nan")], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
         # nothing is recorded before t = 120, so the pre window is empty

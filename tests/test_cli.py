@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from hrsync import analysis, cli, sim, svgplot
+from hrsync import analysis, cli, fork, sim, svgplot
 from hrsync.analysis import sweep_K
 from hrsync.cli import RunConfig, build_parser, main, resolve_config
 from hrsync.model import NeuronParams
@@ -269,7 +269,7 @@ class TestSweep:
             return sim._drive(*args)
 
         monkeypatch.setattr(analysis, "_drive", counted)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)  # runs in process, counted
+        monkeypatch.setattr(fork, "cores", lambda: 1)  # runs in process, counted
         assert main(["sweep", "--K-list", "0,1", "--out", str(tmp_path)]) == 4
         assert "is a directory" in capsys.readouterr().err
         assert runs == []
@@ -290,7 +290,7 @@ class TestSweep:
         real_fork, real_waitpid = os.fork, os.waitpid
         forks, alive, peak = [], set(), [0]
 
-        def fork():
+        def counted_fork():
             pid = real_fork()
             if pid:
                 forks.append(pid)
@@ -303,9 +303,9 @@ class TestSweep:
             alive.discard(pid)
             return reaped
 
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "waitpid", waitpid)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(fork, "cores", lambda: 4)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", k_list,
                 "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
@@ -321,7 +321,7 @@ class TestSweep:
             raise AssertionError("ran in the caller")
 
         monkeypatch.setattr(analysis, "_sweep_group", die)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2",
                 "--out", str(tmp_path / "sweep.csv")]
         with deadline(60):
@@ -353,7 +353,7 @@ class TestSweep:
             return reaped
 
         monkeypatch.setattr(analysis, "_sweep_group", hang)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(fork, "cores", lambda: 4)
         monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(select, "poll", Interrupted)
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3,4,5",
@@ -369,18 +369,18 @@ class TestSweep:
         # a fork refused under a process limit runs that group here; the
         # other group forks
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3"]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fork, "cores", lambda: 1)
         assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
         real_fork, calls = os.fork, []
 
-        def fork():
+        def refusing_fork():
             calls.append(None)
             if len(calls) % 2:
                 raise BlockingIOError("fork refused")
             return real_fork()
 
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
         assert len(calls) == 2  # one per group
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -403,14 +403,14 @@ class TestSweep:
             spec = SimSpec(dt=0.01, t_end=2.0)
             run = lambda: sweep_K([0.0, 1.0, 2.0], spec, config, pre_window=(0.5, 1.0),
                                   post_window=(1.5, 2.0))
-            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(fork, "cores", lambda: 2)
             with deadline(60):
                 forked = run()
         finally:
             for fd in held:
                 os.close(fd)
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fork, "cores", lambda: 1)
         assert forked == run()
 
     def test_windows_follow_the_run(self, tmp_path):
@@ -508,7 +508,7 @@ class TestIntegratingChild:
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
 
     @pytest.mark.parametrize("command", ["isolated", "pair"])
@@ -530,7 +530,7 @@ class TestIntegratingChild:
         assert main(argv) == 3
         assert_no_child_left()
         overlapped = capfd.readouterr()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fork, "cores", lambda: 1)
         assert main(argv) == 3
         assert capfd.readouterr() == overlapped
         assert overlapped.out == "" and "'m' reached zero" in overlapped.err
@@ -741,7 +741,7 @@ def on_cores(cases, usual):
 }, usual=2))
 def test_benchmark_workload_bytes(tmp_path, monkeypatch, name, seed, cores):
     # every output of a benchmark run, SVG included, against its recorded sha256
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fork, "cores", lambda: cores)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import WORKLOADS
 
@@ -772,7 +772,7 @@ PINNED_SVG_SHA256 = {
 @pytest.mark.parametrize("name, cores", on_cores({name: (name,) for name in PINNED_SVG_SHA256},
                                                  usual=2))
 def test_chart_bytes_are_pinned(tmp_path, monkeypatch, name, cores):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fork, "cores", lambda: cores)
     argv, digest = PINNED_SVG_SHA256[name]
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
@@ -783,7 +783,7 @@ def test_chart_bytes_are_pinned(tmp_path, monkeypatch, name, cores):
     {str(rows): (rows,) for rows in (1, 7, 499, 500, 999, 1000, 1001)}, usual=2))
 def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, rows, cores):
     # the averaging windows span 500 and 1000 rows at dt = 0.01
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fork, "cores", lambda: cores)
     monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
     for name, (_, _, digest) in PINNED_SHA256.items():
         assert pinned_digest(tmp_path, name) == digest, name
@@ -833,7 +833,7 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
     # of its own (interned names), some 0.4 MB at once, inside whichever run
     # fills it; that never happens in two runs in a row, so each length takes
     # the smaller peak of two.
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fork, "cores", lambda: cores)
     monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
     monkeypatch.setattr(svgplot, "_MAX_POINTS_PER_SERIES", 100)
     monkeypatch.setattr(cli, "H_WINDOW", 2.0)
@@ -845,7 +845,9 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
     assert abs(long - short) < 0.1 * short, (short, long)
 
 
-#: rows in the block of the test below: the size a run hands its sinks
+#: rows in the block of the test below, larger than the blocks a run hands
+#: its sinks: the pair writer carries a window of running sums from block to
+#: block, which would outweigh a twentieth of a small block's ``tolist()``
 FORMATTED_ROWS = 4096
 
 
@@ -976,7 +978,7 @@ class TestReadme:
 NO_NUMPY_SCRIPT = """
 import json, os, sys
 import hrsync
-from hrsync import analysis, cli, sim, svgplot
+from hrsync import analysis, cli, fork, sim, svgplot
 
 log, argv = sys.argv[1], sys.argv[2:]
 
@@ -991,7 +993,7 @@ def logged(fn):
 
 sim._integrate = logged(sim._integrate)
 analysis.sync_rms = logged(analysis.sync_rms)
-os.cpu_count = lambda: 2
+fork.cores = lambda: 2
 code = cli.main(argv)
 print(json.dumps([os.getpid(), code, *(name in sys.modules for name in
                                         ("numpy", "multiprocessing", "concurrent.futures"))]))

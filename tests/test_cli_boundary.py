@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hrsync import analysis  # noqa: E402
+from hrsync import fork  # noqa: E402
 from hrsync.cli import (  # noqa: E402
     EXIT_DIVERGENCE,
     EXIT_IO,
@@ -78,7 +78,7 @@ def test_hostile_settings_exit_cleanly(invocation):
     argv, lines = invocation
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         # one worker: the sweep runs in process
-        patch.setattr(analysis.os, "cpu_count", lambda: 1)
+        patch.setattr(fork, "cores", lambda: 1)
         config = Path(tmp) / "run.cfg"
         config.write_text("".join(line + "\n" for line in (*BASE_LINES, *lines)), encoding="utf-8")
         out_dir = Path(tmp) / "out"

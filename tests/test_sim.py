@@ -2,13 +2,15 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from hrsync import codegen, sim
+from hrsync import analysis, codegen, fork, sim
 from hrsync.analysis import sweep_K
 from hrsync.energy import energy_terms
 from hrsync.model import ADAPTABLE_PARAMS, PARAM_INDEX, NeuronParams, NeuronState, field
@@ -365,13 +367,13 @@ class TestIntegratingChild:
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
 
     def test_divergence_follows_the_full_blocks(self, monkeypatch):
         outcomes = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(fork, "cores", lambda: cores)
             sink = Blocks()
             with pytest.raises(DivergenceError) as caught:
                 run_pair(SimSpec(dt=0.01, t_end=50.0), POLE_CONFIG, sink)
@@ -402,10 +404,10 @@ class TestIntegratingChild:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files on Linux")
     def test_failed_fork_closes_its_pipe(self, monkeypatch):
-        def fork():
+        def refused_fork():
             raise BlockingIOError("no process left")
 
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "fork", refused_fork)
         before = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
             run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
@@ -414,20 +416,20 @@ class TestIntegratingChild:
     @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
                                       "no fork", "one-K sweep"])
     def test_stays_in_process(self, monkeypatch, case):
-        def fork():
+        def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         if case == "one block":
             monkeypatch.setattr(sim, "BLOCK_ROWS", 101)
         elif case == "one core":
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            monkeypatch.setattr(fork, "cores", lambda: 1)
         elif case == "no fork":
             monkeypatch.delattr(os, "fork")
         spec = SimSpec(dt=0.01, t_end=1.0)
         if case == "one-K sweep":
             # on two cores and several blocks: its window sink is a Collector
-            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(fork, "cores", lambda: 2)
             monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
             (summary,) = sweep_K([5.0], spec, replace(REFERENCE_CONFIG, adaptation=None),
                                  pre_window=(0.1, 0.5), post_window=(0.5, 1.0))
@@ -447,6 +449,45 @@ class TestIntegratingChild:
         assert not child_left
         assert [len(block) for block in blocks] == [10] * 10 + [1]
         assert Trajectory.of_pair_rows(np.concatenate(blocks)) == run_pair(spec, REFERENCE_CONFIG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_one_cpu_of_affinity_runs_in_process(monkeypatch):
+    # a host of 8 CPUs of which this process may use one, as under taskset:
+    # a pair run of 4 blocks integrates here, and a 2-K sweep is one group
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fork.cores() == 1
+    sink = run_pair(SimSpec(dt=0.01, t_end=20.0), REFERENCE_CONFIG, Blocks())
+    assert [len(block) for block in sink.blocks] == [512, 512, 512, 465]
+    drives = []
+    monkeypatch.setattr(analysis, "_drive", lambda spec, configs, *rest: drives.append(
+        len(configs)) or sim._drive(spec, configs, *rest))
+    summaries = sweep_K([0.5, 2.0], SimSpec(dt=0.01, t_end=1.0),
+                        replace(REFERENCE_CONFIG, adaptation=None),
+                        pre_window=(0.1, 0.5), post_window=(0.5, 1.0))
+    assert [summary.error for summary in summaries] == [None, None]
+    assert drives == [2]
+
+
+def test_cores_follow_the_affinity_mask_or_the_host():
+    # a real one-CPU mask, set in a child so this process keeps its own
+    script = ("import os; from hrsync import fork; "
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); print(fork.cores())")
+    if hasattr(os, "sched_setaffinity"):
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.stdout == "1\n", run.stderr
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        patch.setattr(os, "cpu_count", lambda: 3)
+        assert fork.cores() == 3
+        patch.setattr(os, "cpu_count", lambda: None)
+        assert fork.cores() == 1
 
 
 def run_in_worker(spec):
@@ -702,24 +743,26 @@ class TestReceivers:
         assert want[1][1] is not None
         assert got == want
 
-    def test_late_pole_stops_only_its_receiver(self):
+    def test_late_pole_stops_only_its_receiver(self, monkeypatch):
         # with m = 0.01 the law drives the adapted m through zero just after
         # it starts at t = 100 at K = 2 and 5, and away from zero at K = 0.5
         spec = SimSpec(dt=0.01, t_end=110.0, record_every=10)
         configs = receivers("m", True, (2.0, 0.5, 5.0), start=100.0, post=replace(QUIET, m=0.01))
         got = self.drive(spec, configs)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", sim.BLOCK_ROWS // len(configs))
         assert got == [self.own_run(spec, config) for config in configs]
         assert [error is None for _, error in got] == [False, True, False]
         assert all(100.0 < error[0] < 101.0 for _, error in (got[0], got[2]))
         assert "adapted parameter 'm'" in got[0][1][1]
 
-    def test_a_failing_sender_stops_every_receiver(self):
+    def test_a_failing_sender_stops_every_receiver(self, monkeypatch):
         # dx/dt = x^2 from 1 blows the sender up near t = 1
         runaway = NeuronParams(a=1, b=1, c=0, d=0, xi=0, I=0, e=0, f=0, g=0,
                                m=1, s=1, h=0, n=0, k=0, r=0, l=0, p=-1)
         spec = SimSpec(dt=0.001, t_end=2.0, initial_pre=NeuronState(1, 0, 0, 0))
         configs = [replace(config, pre=runaway) for config in receivers("I", True, (0.5, 5.0))]
         got = self.drive(spec, configs)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", sim.BLOCK_ROWS // len(configs))
         assert got == [self.own_run(spec, config) for config in configs]
         assert all(error is not None and 0.9 < error[0] < 1.05 for _, error in got)
 
