@@ -335,7 +335,7 @@ def sweep_K(
         unforked = []
         for g, part in enumerate(parts):
             try:
-                child = fork.Child(lambda send, part=part: work(part))
+                child = fork.Child(lambda send, read, part=part: work(part))
             except OSError:  # no process or pipe to spare: run it here
                 unforked.append(g)
                 continue

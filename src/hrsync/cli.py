@@ -28,7 +28,10 @@ imports numpy. ``isolated`` and ``pair`` format each block of rows as it
 arrives, one row at a time (:meth:`hrsync.sim.Sink.rows`), and keep of
 each charted series only the points the chart draws
 (:class:`hrsync.svgplot.Thinned`), so their memory does not grow with the
-run. Every file, SVG included, is written as
+run. A forked run's child formats the blocks this process falls behind on
+with its copy of the writer, one block's text at a time (the writers'
+``text``), and this process writes that text in place of formatting the
+block, with the same bytes. Every file, SVG included, is written as
 ``<path>.part``, renamed into place if the command succeeds, else deleted.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
@@ -38,6 +41,7 @@ Exit codes: 0 success, 2 usage or config error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -252,6 +256,16 @@ class _Outputs(ExitStack):
                 part.unlink(missing_ok=True)
 
 
+def _text(write, *args) -> memoryview:
+    """The bytes ``write(*args, handle)`` writes to a text handle that
+    encodes as the CSV handles do."""
+    buffer = io.BytesIO()
+    handle = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n", write_through=True)
+    write(*args, handle)
+    handle.detach()  # flushes, and leaves the buffer open
+    return buffer.getbuffer()
+
+
 class _ColumnWriter(Sink):
     """Writes picked columns of each block of rows to CSV handles, and keeps
     the drawn points of each ``(x, y)`` pair of columns in ``plotted``."""
@@ -261,13 +275,25 @@ class _ColumnWriter(Sink):
         n = len(spec.recorded_steps)
         self.plotted = [(Thinned(n), columns) for columns in plotted]
 
-    def put(self, block: memoryview) -> None:
+    @staticmethod
+    def _write(block: memoryview, picks, handle) -> None:
         # row by row: a block's rows or text at once would hold many times
-        # the memory of the block
-        for handle, picks in self.outputs:
-            write = handle.write
-            for row in map(itemgetter(*picks), Sink.rows(block)):
-                write(",".join(map(repr, row)) + "\n")
+        # the memory of the block; only a forked child, when this process
+        # falls behind, holds one block's text (``text``)
+        write = handle.write
+        for row in map(itemgetter(*picks), Sink.rows(block)):
+            write(",".join(map(repr, row)) + "\n")
+
+    def text(self, block: memoryview) -> list:
+        return [_text(self._write, block, picks) for _, picks in self.outputs]
+
+    def put(self, block: memoryview, *texts) -> None:
+        for (handle, picks), text in zip(self.outputs, texts or repeat(None)):
+            if text is None:
+                self._write(block, picks, handle)
+            else:
+                handle.flush()  # the bytes a child made follow what the handle holds
+                handle.buffer.write(text)
         for series, (x, y) in self.plotted:
             series.extend(Sink.column(block, x), Sink.column(block, y))
 
@@ -300,12 +326,20 @@ class _PairWriter(Sink):
         self.plotted = [Thinned(n), *(Thinned(mean.count(n)) if mean else None
                                       for mean in self.means)] if plot else []
 
-    def put(self, block: memoryview) -> None:
+    def carry(self, block: memoryview) -> list:
+        """Push the block into each average; returns each average's means of
+        the block, lazily, and how many it has: the means belong to the last
+        rows."""
+        n = len(block)
+        return [(mean.push(Sink.column(block, c)), min(n, max(0, mean.count(mean.fed))))
+                if mean else ((), 0) for mean, c in zip(self.means, (12, 13))]
+
+    def text(self, block: memoryview) -> list:
+        return [_text(self._write, block, self.carry(block))]
+
+    def put(self, block: memoryview, *texts) -> None:
         n, column = len(block), Sink.column
-        # each average's means of this block, lazily, and how many it has: the
-        # means belong to the last rows
-        averages = [(mean.push(column(block, c)), min(n, max(0, mean.count(mean.fed))))
-                    if mean else ((), 0) for mean, c in zip(self.means, (12, 13))]
+        averages = self.carry(block)
         if self.plotted:
             t = column(block, 0)
             current, *means = self.plotted
@@ -315,9 +349,18 @@ class _PairWriter(Sink):
             for series, (new, count) in zip(means, averages):
                 if series:
                     series.extend(t[n - count:], new)
+        if texts:
+            self.handle.flush()  # the bytes a child made follow what the handle holds
+            self.handle.buffer.write(*texts)
+        else:
+            self._write(block, averages, self.handle)
+
+    @staticmethod
+    def _write(block: memoryview, averages, handle) -> None:
+        n, column = len(block), Sink.column
         cells = [chain(repeat("", n - count), map(repr, new)) for new, count in averages]
         norms = map(math.sqrt, _squared_errors(*(column(block, c) for c in range(1, 9))))
-        write = self.handle.write
+        write = handle.write
         for (ti, x1, y1, z1, w1, x2, y2, z2, w2, q, H1, Hd1, H2, Hd2), e_norm, aH, aHd in zip(
             Sink.rows(block), norms, *cells
         ):

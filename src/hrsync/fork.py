@@ -3,17 +3,22 @@ output back over a bare pipe.
 
 A run with a sink other than a :class:`hrsync.sim.Collector` integrates in
 such a child while the caller formats its blocks, and the coupling sweep
-runs each group of K values in one. Messages are length-framed bytes; the
-outcome, the work's value or the exception that stopped it, follows an
-empty message, pickled. Only bytes from a child of this process are ever
-unpickled.
+runs each group of K values in one. A message is one or more parts of
+bytes after a header of their count and lengths: an integrating child sends
+a block's floats, followed, when it formats the block itself, by the
+block's text for each output. The outcome, the work's value or the
+exception that stopped it, follows a message whose first part is empty,
+pickled. Only bytes from a child of this process are ever unpickled.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
+from itertools import accumulate
 
-__all__ = ["Child", "cores"]
+__all__ = ["Child", "cores", "unread"]
 
 #: Capacity asked for the pipe from an integrating child: 1 MiB, Linux's
 #: default limit, lets the child run about 18 pair blocks (56 KiB each) or 36
@@ -30,15 +35,30 @@ def cores() -> int:
     return os.cpu_count() or 1
 
 
+def unread(fd: int) -> int:
+    """The number of bytes written to the pipe of which ``fd`` is either end
+    and not yet read, or 0 where the host cannot tell (no ``FIONREAD``)."""
+    try:
+        import fcntl
+        import termios
+
+        return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+    except (ImportError, AttributeError, OSError):
+        return 0
+
+
 class Child:
-    """A forked child process that runs ``work(send)``, then sends its
+    """A forked child process that runs ``work(send, read)``, then sends its
     outcome: the value ``work`` returned, or the exception that stopped it.
 
-    ``send(data)`` passes the bytes of ``data`` to this process as one
+    ``send(*parts)`` passes the bytes of each part to this process as one
     message, through a pipe whose capacity bounds how far the child runs
-    ahead. The child never returns or raises into the caller's frames: they
-    would stage, rename or delete the caller's output files. :meth:`result`
-    reads the child from this process, and :meth:`close` reaps it.
+    ahead, and returns how many bytes it has sent so far; ``read()`` is how
+    many of them this process has read, or all where the host cannot tell
+    (:func:`unread`). The child never returns or raises into the caller's
+    frames: they would stage, rename or delete the caller's output files.
+    :meth:`result` reads the child from this process, and :meth:`close`
+    reaps it.
     """
 
     def __init__(self, work):
@@ -51,11 +71,17 @@ class Child:
         except (AttributeError, OSError):
             pass  # not Linux, or above the host's limit: a 64 KiB pipe overlaps too
 
-        def send(data) -> None:
-            view = memoryview(data).cast("B")
-            for chunk in (len(view).to_bytes(8, "little"), view):
+        sent = 0
+
+        def send(*parts) -> int:
+            nonlocal sent
+            views = [memoryview(part).cast("B") for part in parts]
+            header = memoryview(array("Q", [len(views), *map(len, views)])).cast("B")
+            for chunk in (header, *views):
+                sent += len(chunk)
                 while chunk:
                     chunk = chunk[os.write(writer, chunk):]
+            return sent
 
         try:
             pid = os.fork()
@@ -68,7 +94,7 @@ class Child:
             try:
                 os.close(reader)
                 try:
-                    outcome = work(send), None
+                    outcome = work(send, lambda: sent - unread(writer)), None
                 except BaseException as exc:  # re-raised by the parent
                     outcome = None, exc
                 send(b"")
@@ -93,23 +119,25 @@ class Child:
             view = view[got:]
         return buffer
 
-    def _receive(self) -> bytearray:
-        """The child's next message."""
-        return self._read(int.from_bytes(self._read(8), "little"))
+    def _receive(self) -> list[memoryview]:
+        """The child's next message: its parts, as views of one fresh buffer."""
+        sizes = memoryview(self._read(8 * memoryview(self._read(8)).cast("Q")[0])).cast("Q")
+        message, ends = memoryview(self._read(sum(sizes))), [0, *accumulate(sizes)]
+        return [message[start:end] for start, end in zip(ends, ends[1:])]
 
     def result(self, hand=None):
-        """Hand each message the child sends to ``hand``, in order, then
-        reap the child and return its value or raise its exception. If the
-        child ended before it sent its outcome, raise
+        """Hand the parts of each message the child sends to ``hand``, in
+        order, then reap the child and return its value or raise its
+        exception. If the child ended before it sent its outcome, raise
         :class:`ChildProcessError`. On any error here the child is killed
         before it is reaped."""
         import pickle
 
         try:
-            while message := self._receive():
-                hand(message)
+            while (message := self._receive())[0]:
+                hand(*message)
                 del message  # not held while the next one is received
-            value, error = pickle.loads(self._receive())
+            value, error = pickle.loads(self._receive()[0])
         except BaseException:
             self.close(kill=True)
             raise

@@ -48,8 +48,10 @@ such runs import numpy. Runs are deterministic: identical specs and configs
 produce bit-identical rows on a given build. When the process may use two
 or more CPUs (:func:`hrsync.fork.cores`), a run of several blocks with a
 sink other than a :class:`Collector` integrates in a forked child while
-the caller's sink formats the blocks; the rows and errors are the same as
-in process. The coupling sweep
+the caller's sink formats the blocks, and the child formats the blocks that
+the caller falls behind on with its own copy of a sink that can
+(:attr:`Sink.text`); the rows, errors and bytes are the same as in process.
+The coupling sweep
 (:func:`hrsync.analysis.sweep_K`) integrates several receivers at once, in
 process, through ``_drive``, and records only the steps inside its windows.
 """
@@ -59,6 +61,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from itertools import chain, compress
@@ -268,9 +271,22 @@ class Sink:
     over so far, counted in ``handed``. A run that stops with
     :class:`DivergenceError` does not hand over its last partial block. The
     rows are counted, and :meth:`put` is called, in the caller's process.
+
+    A sink that formats each block lets a forked run's child, which holds a
+    copy of it, format the blocks the caller falls behind on (see
+    :func:`_stream`): its ``text(block)`` returns the bytes :meth:`put`
+    would write for ``block``, one item per output, and advances what the
+    sink carries from block to block as :meth:`carry` does; ``put(block,
+    *texts)`` writes those bytes in place of formatting. ``text`` is None on
+    a sink that does not format.
     """
 
     handed = 0
+    text = None
+
+    def carry(self, block: memoryview) -> None:
+        """Advance what the sink carries from block to block, as :meth:`put`
+        would, without formatting; a sink that carries nothing does nothing."""
 
     def __len__(self) -> int:
         return self.handed
@@ -517,17 +533,29 @@ def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig]
             emit(block)
 
 
-def _hand(sink: Sink, width: int):
-    """``hand(block)``: give ``sink`` the floats of ``block`` as counted rows,
-    a read-only ``memoryview`` cast to ``(n, width)``."""
+def _rows(block, width: int) -> memoryview:
+    """The floats of ``block`` as a read-only ``memoryview`` cast to ``(n, width)``."""
+    flat = memoryview(block).toreadonly().cast("B")
+    return flat.cast("d", (len(flat) // (8 * width), width))
 
-    def hand(block) -> None:
-        flat = memoryview(block).toreadonly().cast("B")
-        rows = flat.cast("d", (len(flat) // (8 * width), width))
+
+def _hand(sink: Sink, width: int):
+    """``hand(block, *texts)``: give ``sink`` the floats of ``block`` as
+    counted rows (:func:`_rows`), with the ``texts`` a child made of them."""
+
+    def hand(block, *texts) -> None:
+        rows = _rows(block, width)
         sink.handed += len(rows)
-        sink.put(rows)
+        sink.put(rows, *texts)
 
     return hand
+
+
+def _behind(unread: int) -> bool:
+    """Whether a forked child formats its next block itself: with ``unread``
+    blocks, two or more, in the pipe for the caller to format, the caller
+    would start on this one no sooner than two blocks later."""
+    return unread >= 2
 
 
 def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
@@ -544,7 +572,12 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
     ``os.fork``. Otherwise a forked :class:`hrsync.fork.Child` emits each
     block's bytes to this process as soon as the block is full; this process
     hands the blocks to ``sink`` in order and raises the exception that
-    stopped the child's run, if any.
+    stopped the child's run, if any. The child's copy of a sink that formats
+    (:attr:`Sink.text`) formats each block that finds this process
+    :func:`_behind`, as the bytes it has read of the pipe tell
+    (:func:`hrsync.fork.unread`), and sends the text with the floats; through
+    the other blocks it only carries the sink's state (:meth:`Sink.carry`).
+    Where the pipe cannot tell, the child formats nothing.
     """
     sink = Collector() if sink is None else sink
     # generated before the run may fork, so a forked child inherits them
@@ -554,7 +587,22 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
             or fork.cores() < 2 or not hasattr(os, "fork")):
         _integrate(spec, pre, receivers, kernels, [hand], recorded)
     else:
-        run = lambda send: _integrate(spec, pre, receivers, kernels, [send], recorded)
+        def run(send, read) -> None:
+            ends = deque()  # where each block sent for the caller to format ends
+
+            def emit(block) -> None:
+                rows, done = _rows(block, width), read()
+                while ends and ends[0] <= done:
+                    ends.popleft()
+                if _behind(len(ends)):
+                    send(block, *sink.text(rows))
+                else:
+                    sink.carry(rows)
+                    ends.append(send(block))
+
+            _integrate(spec, pre, receivers, kernels, [send if sink.text is None else emit],
+                       recorded)
+
         fork.Child(run).result(hand)
     return sink
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -546,10 +547,10 @@ class TestIntegratingChild:
         writer = {"isolated": cli._ColumnWriter, "pair": cli._PairWriter}[command]
         put = writer.put
 
-        def put_then_fail(self, block):
+        def put_then_fail(self, block, *text):
             if len(self) > 50:
                 raise error
-            put(self, block)
+            put(self, block, *text)
 
         monkeypatch.setattr(writer, "put", put_then_fail)
         argv = [command, "--t-end", "200", "--out", str(tmp_path / "x.csv")]
@@ -560,6 +561,111 @@ class TestIntegratingChild:
             assert main(argv) == code
         assert_no_child_left()
         assert list(tmp_path.iterdir()) == []
+
+
+#: the forked child's choice forced, whatever the timing, as ``id: (rule,
+#: whether the writer gets the text of block i)``; a rule keeps its count in
+#: the child
+FORCED = {
+    "always": (lambda: lambda unread: True, lambda i: True),
+    "never": (lambda: lambda unread: False, lambda i: False),
+    "every-other": (lambda: lambda unread, calls=itertools.count(): next(calls) % 2 == 1,
+                    lambda i: i % 2 == 1),
+}
+
+
+def outputs(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestChildFormats:
+    """On two cores the forked child formats the blocks its writer falls
+    behind on, and the writer writes their text: the bytes are those of one
+    core whichever blocks the child takes."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
+
+    @staticmethod
+    def texts_handed(monkeypatch, command) -> list:
+        """Whether each block reached the writer with its text, logged."""
+        writer = {"isolated": cli._ColumnWriter, "pair": cli._PairWriter}[command]
+        put, handed = writer.put, []
+
+        def logged(self, block, *texts):
+            handed.append(bool(texts))
+            put(self, block, *texts)
+
+        monkeypatch.setattr(writer, "put", logged)
+        return handed
+
+    @pytest.mark.parametrize("rule", list(FORCED))
+    @pytest.mark.parametrize("command", ["isolated", "pair"])
+    def test_bytes_are_those_of_one_core(self, tmp_path, monkeypatch, command, rule):
+        # 2001 rows in 41 blocks; both of the pair's averages fill
+        argv = [command, "--t-end", "20", "--plot"]
+        monkeypatch.setattr(fork, "cores", lambda: 1)
+        (tmp_path / "one").mkdir()
+        assert main([*argv, "--out", str(tmp_path / "one" / "x.csv")]) == 0
+        make_rule, stolen = FORCED[rule]
+        monkeypatch.setattr(fork, "cores", lambda: 2)
+        monkeypatch.setattr(sim, "_behind", make_rule())
+        handed = self.texts_handed(monkeypatch, command)
+        (tmp_path / "two").mkdir()
+        assert main([*argv, "--out", str(tmp_path / "two" / "x.csv")]) == 0
+        assert_no_child_left()
+        assert handed == [stolen(i) for i in range(41)]
+        assert len(outputs(tmp_path / "two")) == {"isolated": 5, "pair": 2}[command]
+        assert outputs(tmp_path / "two") == outputs(tmp_path / "one")
+
+    @pytest.mark.parametrize("rule", list(FORCED))
+    def test_divergence_mid_run_exits_3_as_on_one_core(self, tmp_path, monkeypatch, capfd, rule):
+        # the adapted m reaches zero after 38 rows: three blocks of 10 are handed over
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+        (tmp_path / "run.cfg").write_text(POLE_LINES, encoding="utf-8")
+        argv = ["pair", "--t-end", "50", "--plot", "--config", str(tmp_path / "run.cfg"),
+                "--out", str(tmp_path / "x.csv")]
+        monkeypatch.setattr(fork, "cores", lambda: 1)
+        assert main(argv) == 3
+        in_process = capfd.readouterr()
+        make_rule, stolen = FORCED[rule]
+        monkeypatch.setattr(fork, "cores", lambda: 2)
+        monkeypatch.setattr(sim, "_behind", make_rule())
+        handed = self.texts_handed(monkeypatch, "pair")
+        assert main(argv) == 3
+        assert_no_child_left()
+        assert capfd.readouterr() == in_process
+        assert "'m' reached zero" in in_process.err
+        assert handed == [stolen(i) for i in range(3)]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for a child without reaping it")
+    @pytest.mark.parametrize("probe", ["works", "fails"])
+    def test_child_that_cannot_count_the_pipe_never_formats(self, tmp_path, monkeypatch, probe):
+        # the writer reads nothing until the child has sent every block and
+        # ended, so from the third block on the child finds it two blocks
+        # behind; 11 blocks of 10 rows fit a 64 KiB pipe with their text
+        import fcntl
+
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 10)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
+        result = fork.Child.result
+
+        def after_the_child_ends(self, hand=None):
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+            return result(self, hand)
+
+        monkeypatch.setattr(fork.Child, "result", after_the_child_ends)
+        if probe == "fails":
+            def no_fionread(*args):
+                raise OSError("FIONREAD refused")
+
+            monkeypatch.setattr(fcntl, "ioctl", no_fionread)
+        handed = self.texts_handed(monkeypatch, "pair")
+        with deadline(60):
+            assert main(["pair", "--t-end", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert handed == [False, False, *[probe == "works"] * 9]
 
 
 class TestConfigFile:
@@ -877,6 +983,43 @@ def test_writers_hold_a_row_not_the_block(tmp_path, command):
         finally:
             tracemalloc.stop()
     assert peak < listed / 20, (peak, listed)
+
+
+@pytest.mark.parametrize("command", ["isolated", "pair"])
+def test_text_step_holds_one_block(command):
+    # a forked child builds a block's text in one buffer: its peak does not
+    # grow with the blocks fed, and stays under two copies of the block's
+    # text plus the pair's carried sums, which keeping the block's lines to
+    # join them would not
+    width, rows = {"isolated": 7, "pair": 14}[command], sim.BLOCK_ROWS
+    spec = SimSpec(dt=0.01, t_end=(101 * rows - 1) * 0.01)
+    data = array("d", (math.sin(i) for i in range(rows * width)))
+    block = memoryview(data).toreadonly().cast("B").cast("d", (rows, width))
+
+    def text_peak(blocks):
+        with open(os.devnull, "w", encoding="utf-8") as handle:
+            if command == "isolated":
+                writer = cli._ColumnWriter([(handle, range(7)), (handle, (1, 2, 3))], spec)
+            else:
+                writer = cli._PairWriter(handle, spec, plot=False)
+            writer.text(block)  # the pair's averages start in the second block
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(blocks):
+                    writer.text(block)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            text = sum(map(len, writer.text(block)))
+            carried = sum(sys.getsizeof(mean._sums) + len(mean._sums) * sys.getsizeof(0.0)
+                          for mean in getattr(writer, "means", ()))
+        return peak, text, carried
+
+    (short, _, _), (long, text, carried) = text_peak(10), text_peak(100)
+    assert abs(long - short) < 0.1 * short, (short, long)
+    assert long < 2 * text + carried, (long, text, carried)
 
 
 @pytest.mark.parametrize(

@@ -490,6 +490,26 @@ def test_cores_follow_the_affinity_mask_or_the_host():
         assert fork.cores() == 1
 
 
+def test_unread_counts_the_bytes_waiting_in_a_pipe(monkeypatch):
+    import fcntl
+
+    reader, writer = os.pipe()
+    try:
+        os.write(writer, bytes(1000))
+        os.read(reader, 300)
+        # either end of the pipe: an integrating child asks through its own
+        assert fork.unread(writer) == fork.unread(reader) == 700
+
+        def refused(*args):
+            raise OSError("FIONREAD refused")
+
+        monkeypatch.setattr(fcntl, "ioctl", refused)
+        assert fork.unread(writer) == 0
+    finally:
+        os.close(reader)
+        os.close(writer)
+
+
 def run_in_worker(spec):
     """Run the reference pair into :class:`Blocks` in this process: the number
     of forks it made, its blocks, and whether it left a child behind."""
