@@ -20,7 +20,6 @@ total them left to right, and ``pair``'s writer takes the root of each.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -291,22 +290,26 @@ def sweep_K(
 ) -> list[SweepSummary]:
     """One coupled run per coupling strength, summarized per window.
 
-    Every run's :class:`PairConfig`, which checks its ``K``, is built, and
-    every window is checked to hold a recorded step, before any run starts.
-    A run computes only the rows inside its windows. The runs share their
-    sender, so the K values are split into ``min(fork.cores(),
-    len(k_values))`` groups of consecutive values, and one integration of
-    the sender drives every receiver of a group. Each group runs in its own
-    forked child, all started at once, which sends back its summaries, or
-    the exception that stopped it. A single group (one K, or one CPU this
-    process may use), a host without ``os.fork`` and a group whose child
-    cannot be forked run in process.
+    ``k_values`` must not be empty. Every run's :class:`PairConfig`, which
+    checks its ``K``, is built, and every window is checked to hold a
+    recorded step, before any run starts. A run computes only the rows
+    inside its windows. The runs share their sender, so the K values are
+    split into ``min(fork.cores(), len(k_values))`` groups of consecutive
+    values, and one integration of the sender drives every receiver of a
+    group. Each group runs in its own forked child, all started at once,
+    which sends back its summaries, or the exception that stopped it. A
+    single group (one K, or one CPU this process may use) runs in process,
+    and so does each group whose child cannot start
+    (:class:`hrsync.fork.Child` raises ``OSError``), before any child is
+    read. The children are then read in group order; none waits on another.
     Output order matches the input order. A diverging run yields a summary
     with its ``error`` field set; the other runs are unaffected and keep the
     bits of a run of their own. On any error here, every live child is
     killed and reaped.
     """
     configs = [replace(config, K=float(K)) for K in k_values]
+    if not configs:
+        raise ValueError("the K list is empty: a sweep needs at least one K")
     if not pre_window[0] < pre_window[1] or not post_window[0] < post_window[1]:
         raise ValueError("windows must be nonempty intervals")
     if pre_window[1] > post_window[0]:
@@ -321,34 +324,20 @@ def sweep_K(
 
     work = partial(_sweep_group, spec=spec, windows=(pre_window, post_window))
     groups = min(fork.cores(), len(configs))
-    if groups <= 1 or not hasattr(os, "fork"):
+    if groups <= 1:
         return work(configs)
-    import select
-
     cuts = [len(configs) * g // groups for g in range(groups + 1)]
     parts = [configs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    results: list = [None] * groups
-    live: dict[int, tuple[fork.Child, int]] = {}  # reader -> (child, group)
-    # poll, not select: select refuses a descriptor from FD_SETSIZE (1024) on
-    poll = select.poll()
+    children: list[fork.Child | None] = []  # None: the group's child could not start
     try:
-        unforked = []
-        for g, part in enumerate(parts):
+        for part in parts:
             try:
-                child = fork.Child(lambda send, read, part=part: work(part))
-            except OSError:  # no process or pipe to spare: run it here
-                unforked.append(g)
-                continue
-            live[child.fileno()] = child, g
-            poll.register(child, select.POLLIN)
-        for g in unforked:
-            results[g] = work(parts[g])
-        while live:
-            (reader, _), *_ = poll.poll()
-            poll.unregister(reader)
-            child, g = live.pop(reader)
-            results[g] = child.result()
+                children.append(fork.Child(lambda send, read, part=part: work(part)))
+            except OSError:  # no os.fork, or no process or pipe to spare: run it here
+                children.append(None)
+        done = [work(part) if child is None else None for part, child in zip(parts, children)]
+        return [summary for child, summaries in zip(children, done)
+                for summary in (summaries if child is None else child.result())]
     finally:
-        for child, _ in live.values():
+        for child in filter(None, children):
             child.close(kill=True)
-    return [summary for part in results for summary in part]

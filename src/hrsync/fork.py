@@ -6,9 +6,11 @@ such a child while the caller formats its blocks, and the coupling sweep
 runs each group of K values in one. A message is one or more parts of
 bytes after a header of their count and lengths: an integrating child sends
 a block's floats, followed, when it formats the block itself, by the
-block's text for each output. The outcome, the work's value or the
-exception that stopped it, follows a message whose first part is empty,
-pickled. Only bytes from a child of this process are ever unpickled.
+block's text for each output. The last message has an empty first part,
+and its second is the outcome, the work's value or the exception that
+stopped it, pickled. Only bytes from a child of this process are ever
+unpickled. Where no child can start, :class:`Child` raises
+:class:`OSError`, and its callers do the work themselves.
 """
 
 from __future__ import annotations
@@ -58,10 +60,14 @@ class Child:
     (:func:`unread`). The child never returns or raises into the caller's
     frames: they would stage, rename or delete the caller's output files.
     :meth:`result` reads the child from this process, and :meth:`close`
-    reaps it.
+    reaps it. On a host without ``os.fork``, or with no process or pipe to
+    spare, no child starts and :class:`OSError` is raised, with no
+    descriptor left open.
     """
 
     def __init__(self, work):
+        if not hasattr(os, "fork"):
+            raise OSError("this host cannot fork")
         import fcntl
         import pickle
 
@@ -97,16 +103,12 @@ class Child:
                     outcome = work(send, lambda: sent - unread(writer)), None
                 except BaseException as exc:  # re-raised by the parent
                     outcome = None, exc
-                send(b"")
-                send(pickle.dumps(outcome))
+                send(b"", pickle.dumps(outcome))
                 code = 0
             finally:
                 os._exit(code)
         os.close(writer)
         self.pid, self.reader = pid, reader
-
-    def fileno(self) -> int:
-        return self.reader
 
     def _read(self, size: int) -> bytearray:
         """The child's next ``size`` bytes, in a fresh buffer."""
@@ -137,7 +139,7 @@ class Child:
             while (message := self._receive())[0]:
                 hand(*message)
                 del message  # not held while the next one is received
-            value, error = pickle.loads(self._receive()[0])
+            value, error = pickle.loads(message[1])
         except BaseException:
             self.close(kill=True)
             raise

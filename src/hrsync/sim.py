@@ -59,7 +59,6 @@ process, through ``_drive``, and records only the steps inside its windows.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections import deque
 from collections.abc import Sequence
@@ -568,25 +567,24 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
     A run of one block (at most :data:`BLOCK_ROWS` rows) has nothing to
     overlap and a :class:`Collector` gains nothing from a second process, so
     those integrate in process, and so does every run of a process that may
-    use one CPU alone (:func:`hrsync.fork.cores`) or of a host without
-    ``os.fork``. Otherwise a forked :class:`hrsync.fork.Child` emits each
-    block's bytes to this process as soon as the block is full; this process
-    hands the blocks to ``sink`` in order and raises the exception that
-    stopped the child's run, if any. The child's copy of a sink that formats
-    (:attr:`Sink.text`) formats each block that finds this process
-    :func:`_behind`, as the bytes it has read of the pipe tell
-    (:func:`hrsync.fork.unread`), and sends the text with the floats; through
-    the other blocks it only carries the sink's state (:meth:`Sink.carry`).
-    Where the pipe cannot tell, the child formats nothing.
+    use one CPU alone (:func:`hrsync.fork.cores`) or whose child cannot
+    start (:class:`hrsync.fork.Child` raises ``OSError``). Otherwise a forked
+    child emits each block's bytes to this process as soon as the block is
+    full; this process hands the blocks to ``sink`` in order and raises the
+    exception that stopped the child's run, if any. The child's copy of a
+    sink that formats (:attr:`Sink.text`) formats each block that finds this
+    process :func:`_behind`, as the bytes it has read of the pipe tell
+    (:func:`hrsync.fork.unread`), and sends the text with the floats;
+    through the other blocks it only carries the sink's state
+    (:meth:`Sink.carry`). Where the pipe cannot tell, the child formats
+    nothing.
     """
     sink = Collector() if sink is None else sink
     # generated before the run may fork, so a forked child inherits them
     kernels, recorded = _kernels(pre, receivers, spec.dt), [spec.recorded_steps]
     hand = _hand(sink, width)
-    if (len(spec.recorded_steps) <= BLOCK_ROWS or isinstance(sink, Collector)
-            or fork.cores() < 2 or not hasattr(os, "fork")):
-        _integrate(spec, pre, receivers, kernels, [hand], recorded)
-    else:
+    if (len(spec.recorded_steps) > BLOCK_ROWS and not isinstance(sink, Collector)
+            and fork.cores() > 1):
         def run(send, read) -> None:
             ends = deque()  # where each block sent for the caller to format ends
 
@@ -603,7 +601,14 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
             _integrate(spec, pre, receivers, kernels, [send if sink.text is None else emit],
                        recorded)
 
-        fork.Child(run).result(hand)
+        try:
+            child = fork.Child(run)
+        except OSError:  # no os.fork, or no process or pipe to spare
+            pass
+        else:
+            child.result(hand)
+            return sink
+    _integrate(spec, pre, receivers, kernels, [hand], recorded)
     return sink
 
 

@@ -356,6 +356,8 @@ class TestSweep:
 
         monkeypatch.setattr(analysis, "_drive", started)
         monkeypatch.setattr(fork, "Child", started)
+        with pytest.raises(ValueError, match="K list is empty"):
+            sweep_K([], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
         with pytest.raises(ValueError, match="finite"):
             sweep_K([1.0, float("nan")], SimSpec(dt=0.01, t_end=200.0), REFERENCE_CONFIG)
         # nothing is recorded before t = 120, so the pre window is empty

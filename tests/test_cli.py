@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import gc
 import hashlib
 import itertools
@@ -7,7 +8,6 @@ import json
 import math
 import os
 import re
-import select
 import signal
 import subprocess
 import sys
@@ -339,12 +339,8 @@ class TestSweep:
                 time.sleep(60)
             raise AssertionError("ran in the caller, or outlived its kill")
 
-        class Interrupted:
-            def register(self, *args):
-                pass
-
-            def poll(self):
-                raise KeyboardInterrupt
+        def interrupted(self, hand=None):
+            raise KeyboardInterrupt
 
         real_waitpid, statuses = os.waitpid, []
 
@@ -356,7 +352,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_sweep_group", hang)
         monkeypatch.setattr(fork, "cores", lambda: 4)
         monkeypatch.setattr(os, "waitpid", waitpid)
-        monkeypatch.setattr(select, "poll", Interrupted)
+        monkeypatch.setattr(fork.Child, "result", interrupted)  # the caller's wait
         argv = ["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3,4,5",
                 "--out", str(tmp_path / "sweep.csv")]
         with deadline(60), pytest.raises(KeyboardInterrupt):
@@ -387,8 +383,9 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_children_are_read_above_fd_setsize(self, monkeypatch):
-        # select() refuses a descriptor from 1024 on; the children's pipes get
-        # the lowest free ones, so hold every one below that first
+        # a descriptor from FD_SETSIZE (1024) on is one select() would refuse;
+        # the children's pipes get the lowest free ones, so hold every one
+        # below that first
         import resource
 
         soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -500,6 +497,38 @@ class TestOutputSet:
 
 
 POLE_LINES = "adapt_target = m\npost.m = 0.0005\nadapt_at = 0\n"  # diverges at t = 0.38
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files on Linux")
+@pytest.mark.parametrize("argv, forks", [
+    (["pair", "--t-end", "20", "--plot"], 1),
+    (["isolated", "--t-end", "20", "--plot"], 1),
+    (["sweep", "--t-end", "2", "--adapt-at", "1", "--K-list", "0,1,2,3"], 2),
+], ids=["pair", "isolated", "sweep"])
+def test_refused_fork_runs_in_process(tmp_path, monkeypatch, argv, forks):
+    # under a process limit no child starts: on two cores each command then
+    # runs in one process, with the bytes of a one-CPU run, and leaves no
+    # pipe open
+    def outputs(name):
+        out = tmp_path / name / "out.csv"
+        out.parent.mkdir()
+        assert main([*argv, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.parent.iterdir()}
+
+    monkeypatch.setattr(fork, "cores", lambda: 1)
+    alone, refused = outputs("alone"), []
+
+    def refused_fork():
+        refused.append(None)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    monkeypatch.setattr(fork, "cores", lambda: 2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert outputs("refused") == alone
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(refused) == forks
+    assert_no_child_left()
 
 
 class TestIntegratingChild:
@@ -922,6 +951,19 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
+class UntracedChild(fork.Child):
+    """A forked child that stops ``tracemalloc`` before its work: tracing
+    survives the fork, and it would slow the child's integration some
+    20-fold, although only this process's allocations are measured."""
+
+    def __init__(self, work):
+        def untraced(send, read):
+            tracemalloc.stop()
+            return work(send, read)
+
+        super().__init__(untraced)
+
+
 @pytest.mark.parametrize("argv, cores", on_cores({
     "isolated": (["isolated"],),
     "pair": (["pair"],),
@@ -938,8 +980,15 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
     # tells them apart. Every few dozen runs the interpreter rebuilds a table
     # of its own (interned names), some 0.4 MB at once, inside whichever run
     # fills it; that never happens in two runs in a row, so each length takes
-    # the smaller peak of two.
+    # the smaller peak of two. Both peaks are set by generating the kernels
+    # (about 0.56 MB for a pair, 0.30 MB for a lone neuron), so a writer that
+    # keeps each block (56 or 112 bytes a row) fails every case, and one that
+    # keeps 16 bytes a row passes.
     monkeypatch.setattr(fork, "cores", lambda: cores)
+    monkeypatch.setattr(fork, "Child", UntracedChild)
+    # the untraced child would format most blocks itself; here this process
+    # formats them all, so the memory of formatting is measured
+    monkeypatch.setattr(sim, "_behind", lambda unread: False)
     monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
     monkeypatch.setattr(svgplot, "_MAX_POINTS_PER_SERIES", 100)
     monkeypatch.setattr(cli, "H_WINDOW", 2.0)

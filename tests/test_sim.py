@@ -404,17 +404,27 @@ class TestIntegratingChild:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files on Linux")
     def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        # a fork refused under a process limit closes the pipe it made, and
+        # the run goes on in process with the rows of a one-CPU run
+        spec, refused = SimSpec(dt=0.01, t_end=1.0), []
+        monkeypatch.setattr(fork, "cores", lambda: 1)
+        alone = run_isolated(spec, CANON, Blocks())
+
         def refused_fork():
+            refused.append(None)
             raise BlockingIOError("no process left")
 
         monkeypatch.setattr(os, "fork", refused_fork)
+        monkeypatch.setattr(fork, "cores", lambda: 2)
         before = sorted(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
-            run_isolated(SimSpec(dt=0.01, t_end=1.0), CANON, Blocks())
+        sink = run_isolated(spec, CANON, Blocks())
         assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(refused) == 1
+        assert [block.tolist() for block in sink.blocks] == [
+            block.tolist() for block in alone.blocks]
 
     @pytest.mark.parametrize("case", ["no sink", "collector", "one block", "one core",
-                                      "no fork", "one-K sweep"])
+                                      "no fork", "one-K sweep", "no-fork sweep"])
     def test_stays_in_process(self, monkeypatch, case):
         def no_fork():
             raise AssertionError("forked")
@@ -424,16 +434,18 @@ class TestIntegratingChild:
             monkeypatch.setattr(sim, "BLOCK_ROWS", 101)
         elif case == "one core":
             monkeypatch.setattr(fork, "cores", lambda: 1)
-        elif case == "no fork":
+        elif case in ("no fork", "no-fork sweep"):
             monkeypatch.delattr(os, "fork")
         spec = SimSpec(dt=0.01, t_end=1.0)
-        if case == "one-K sweep":
-            # on two cores and several blocks: its window sink is a Collector
+        if case.endswith("sweep"):
+            # on two cores and several blocks: one K makes one group, whose
+            # window sink is a Collector; without os.fork each group runs here
             monkeypatch.setattr(fork, "cores", lambda: 2)
             monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
-            (summary,) = sweep_K([5.0], spec, replace(REFERENCE_CONFIG, adaptation=None),
-                                 pre_window=(0.1, 0.5), post_window=(0.5, 1.0))
-            assert summary.error is None
+            ks = [5.0] if case == "one-K sweep" else [5.0, 6.0, 7.0]
+            summaries = sweep_K(ks, spec, replace(REFERENCE_CONFIG, adaptation=None),
+                                pre_window=(0.1, 0.5), post_window=(0.5, 1.0))
+            assert [summary.error for summary in summaries] == [None] * len(ks)
             return
         sink = {"no sink": None, "collector": sim.Collector()}.get(case, Blocks())
         run = run_pair(spec, REFERENCE_CONFIG, sink)
