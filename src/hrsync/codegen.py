@@ -1,8 +1,9 @@
 """Compile the model's expression tables into straight-line Python functions.
 
 The equations live once, as expression strings in :mod:`hrsync.model` and
-:mod:`hrsync.energy`. :func:`compile_kernel` turns ``(target, expression)``
-assignments into one function whose body is those assignments, in order.
+:mod:`hrsync.energy`. :func:`compile_kernel` compiles one function from a
+template of its body, whose fields it fills with ``(target, expression)``
+assignments, in order, or with an expression.
 
 Constants are folded without changing a single bit. A name bound in ``env``
 is a constant of the run. An assignment, or a largest subexpression, that
@@ -25,6 +26,7 @@ from keyword import iskeyword
 __all__ = ["compile_kernel", "rename"]
 
 _IDENT = re.compile(r"\b[A-Za-z_]\w*")
+_FIELD = re.compile(r"\{(\w+)\}")
 
 
 def rename(expr: str, names: Mapping[str, str]) -> str:
@@ -76,14 +78,18 @@ class _Fold(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def compile_kernel(name: str, args: str, body: Sequence[tuple[str, str]], result: str,
+def compile_kernel(name: str, args: str, template: str,
+                   sections: Mapping[str, str | Sequence[tuple[str, str]]],
                    env: Mapping[str, object] | None = None) -> Callable:
-    """Compile ``def name(args): <body>; return result``.
+    """Compile ``def name(args):`` whose body is ``template``, indented a
+    level less than in the function.
 
-    ``body`` holds ``(target, expression)`` assignments in evaluation order;
-    a target may be a comma-separated list that unpacks a sequence. ``env``
-    binds the run's constants and is not modified. Expressions and names
-    come from the in-repo tables and validated parameter names only.
+    A line that is a field ``{key}`` alone takes the ``(target,
+    expression)`` assignments of ``sections[key]``, in evaluation order, at
+    its indentation; a target may be a comma-separated list that unpacks a
+    sequence. Any other field takes the expression ``sections[key]``.
+    ``env`` binds the run's constants and is not modified. Expressions and
+    names come from the in-repo tables and validated parameter names only.
     """
     env = dict(env or {})
     keys: dict[str, str] = {}  # text of a folded constant -> its name in env
@@ -109,17 +115,22 @@ def compile_kernel(name: str, args: str, body: Sequence[tuple[str, str]], result
         return rename(text, back)
 
     lines, variables = [], set()
-    for target, expr in body:
-        targets = {local.strip() for local in target.split(",")}
-        if targets & env.keys():
-            raise ValueError(f"{name}: constant {target!r} is assigned again")
-        if (target.isidentifier() and target not in variables
-                and set(_IDENT.findall(expr)) <= env.keys()):
-            env[target] = _evaluate(expr, env)
+    for line in template.splitlines():
+        indent = "    " + line[: len(line) - len(line.lstrip())]
+        section = _FIELD.fullmatch(line.strip())
+        if not section:
+            lines.append(f"    {_FIELD.sub(lambda m: fold(sections[m[1]]), line)}\n")
             continue
-        variables |= targets
-        lines.append(f"    {target} = {fold(expr)}\n")
-    lines.append(f"    return {fold(result)}\n")
+        for target, expr in sections[section[1]]:
+            targets = {local.strip() for local in target.split(",")}
+            if targets & env.keys():
+                raise ValueError(f"{name}: constant {target!r} is assigned again")
+            if (target.isidentifier() and target not in variables
+                    and set(_IDENT.findall(expr)) <= env.keys()):
+                env[target] = _evaluate(expr, env)
+                continue
+            variables |= targets
+            lines.append(f"{indent}{target} = {fold(expr)}\n")
     used = sorted(set(_IDENT.findall("".join(lines))) & env.keys())
     defaults = "".join(f", {c}={c}" for c in used)
     source = f"def {name}({args}{defaults}):\n" + "".join(lines)

@@ -200,7 +200,8 @@ def point_kernel(name: str, body: tuple, result: str):
     """``name(x, y, z, w, P)`` evaluating table assignments at one point, with
     the flat parameter values ``P`` unpacked to their names. Compiled on first
     use, so importing the package compiles nothing."""
-    return compile_kernel(name, "x, y, z, w, P", ((", ".join(PARAM_INDEX), "P"), *body), result)
+    return compile_kernel(name, "x, y, z, w, P", "{body}\nreturn {result}",
+                          {"body": ((", ".join(PARAM_INDEX), "P"), *body), "result": result})
 
 
 def field(x: float, y: float, z: float, w: float, P: Sequence[float]) -> tuple:

@@ -18,13 +18,14 @@ sub-step event location is attempted (the switch-time error is O(dt)).
 
 Every target takes the same path, and so do the lone neuron and the pair:
 a sender that drives N >= 0 receivers, N = 0 for :func:`run_isolated` and
-N = 1 for :func:`run_pair`. At the start of a run, the RK4 step, the
-recorded sample rows and the divergence guard are generated as straight-line
-Python from the expression tables :data:`hrsync.model.FIELD`,
+N = 1 for :func:`run_pair`. At the start of a run, one integration loop is
+generated as Python from the expression tables :data:`hrsync.model.FIELD`,
 :data:`hrsync.model.PAIR`, :data:`hrsync.model.SENSITIVITY_EXPR` and
-:data:`hrsync.energy.ENERGY`, and compiled (:mod:`hrsync.codegen`). The
-state is the sender's 4 components, then each receiver's 4 and its live
-``q``; receiver ``j``'s equations are the tables' rows with its own
+:data:`hrsync.energy.ENERGY`, and compiled (:mod:`hrsync.codegen`). It keeps
+the state in local variables, takes straight-line RK4 steps, runs the
+divergence guard after each, and packs each recorded row onto its sink's
+block. The state is the sender's 4 components, then each receiver's 4 and
+its live ``q``; receiver ``j``'s equations are the tables' rows with its own
 suffix, ``K``, gain and parameters, and read ``q`` in place of the adapted
 parameter. Since ``d f / d q`` has a single nonzero row, ``PAIR``'s law is
 ``dq/dt = -gain*s*e_row`` with ``(row, s)`` from the sensitivity table. The
@@ -37,9 +38,11 @@ do. The energy divides by ``a`` and ``m*s``, so a run that adapts ``a``,
 reaches zero or changes sign. Of several receivers, one that diverges stops
 alone, and a sender that diverges stops them all.
 
-One integration loop computes the rows of the recorded steps alone, which
-it takes as ranges of step indices, and emits them as flat blocks of floats,
-one series of blocks per sink. :func:`_stream` hands each block to a
+The loop computes the rows of the recorded steps alone, which it takes as
+ranges of step indices, and returns to :func:`_integrate` only when a block
+is full, at the step the law switches on, when a step fails the guard, or at
+the end; each sink's rows fill its own flat ``bytearray`` of float64, which
+is emitted as a block. :func:`_stream` hands each block to a
 :class:`Sink` as a read-only 2-D ``memoryview`` of its rows, so a caller
 that formats or reduces each block holds no more than one block of the run,
 and imports no numpy. Without a sink, a :class:`Collector` keeps every row
@@ -64,6 +67,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from itertools import chain, compress
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from . import fork
@@ -346,26 +350,23 @@ def _renamed(table, names: dict) -> list[tuple[str, str]]:
     return [(rename(local, names), rename(expr, names)) for local, expr in table]
 
 
-def _rk4_kernel(name: str, n: int, derivative, env: dict):
-    """One RK4 step over ``S = (v0, ..., v{n-1})``, compiled as straight-line
-    code. ``derivative(inputs, outputs)`` gives the assignments of the
-    derivative at a stage. Each component follows the operation order of
-    ``S + (dt/6)*(k1 + 2*(k2 + k3) + k4)`` on float64 arrays."""
+def _rk4(n: int, derivative, tag: str) -> list[tuple[str, str]]:
+    """The assignments of one RK4 step of the locals ``v0, ..., v{n-1}``, in
+    place. ``derivative(inputs, outputs)`` gives the assignments of the
+    derivative at a stage; the stages' locals carry ``tag``. Each component
+    follows the operation order of ``S + (dt/6)*(k1 + 2*(k2 + k3) + k4)`` on
+    float64 arrays."""
     v = [f"v{j}" for j in range(n)]
-    body = [(", ".join(v), "S")]
-    ks = []
+    body, ks = [], []
     for stage, scale in enumerate(("", "half", "half", "dt"), 1):
         inputs = v
         if scale:
-            inputs = [f"u{j}" for j in range(n)]
+            inputs = [f"u{tag}{j}" for j in range(n)]
             body += [(u, f"{s} + {scale}*{k}") for u, s, k in zip(inputs, v, ks[-1])]
-        ks.append([f"k{stage}_{j}" for j in range(n)])
+        ks.append([f"k{tag}{stage}_{j}" for j in range(n)])
         body += derivative(inputs, ks[-1])
-    result = ", ".join(
-        f"{s} + sixth*({a} + 2.0*({b} + {c}) + {d})" for s, *(a, b, c, d) in zip(v, *ks)
-    )
-    half, sixth = 0.5 * env["dt"], env["dt"] / 6.0
-    return compile_kernel(name, "S", body, f"({result},)", {**env, "half": half, "sixth": sixth})
+    return body + [(s, f"{s} + sixth*({a} + 2.0*({b} + {c}) + {d})")
+                   for s, *(a, b, c, d) in zip(v, *ks)]
 
 
 def _bind(j: int, P) -> dict:
@@ -373,28 +374,35 @@ def _bind(j: int, P) -> dict:
 
 
 def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
-    """``(idle, active, row, inside)`` of a sender with parameters ``pre``
-    that drives ``receivers`` (none for a lone neuron), generated from the
-    tables.
+    """The integration loop of a sender with parameters ``pre`` that drives
+    ``receivers`` (none for a lone neuron), generated from the tables.
 
-    The state ``S`` holds the sender's 4 components, then 5 per receiver:
-    its 4 and the live ``q`` of its adapted parameter. ``idle(S)`` and
-    ``active(S)`` are one RK4 step of the whole state without and with the
-    receivers' laws: each neuron's :data:`FIELD`, with the live ``q`` in
-    place of a receiver's adapted target, then each receiver's :data:`PAIR`
-    rows, its names renamed with its own suffix and its own ``K``, gain and
-    parameters bound. ``row(t, S, puts)`` hands one recorded row per sink to
-    ``puts[j]``: the lone neuron's ``(t, x, y, z, w, H, Hdot)``, or receiver
-    ``j``'s pair sample ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post,
-    Hdot_post)``. ``inside(S)`` is true when every neuron's state lies
-    inside the divergence bound, every ``q`` is finite and every adapted
-    ``a``, ``m`` or ``s`` keeps the sign it starts with; false for NaN.
+    The state holds the sender's 4 components, then 5 per receiver: its 4
+    and the live ``q`` of its adapted parameter. ``loop(i, end, at, S,
+    active, nxt, blocks, room)`` keeps the state ``S`` at step ``i`` in
+    locals. At each step it packs, if the step is ``at``, one row of
+    float64 onto each ``blocks[j]`` and takes ``at = nxt()``; then, short
+    of ``end``, it takes one RK4 step, with the receivers' laws if
+    ``active``, and runs the guard. A row is the lone neuron's ``(t, x, y,
+    z, w, H, Hdot)``, or receiver ``j``'s pair sample ``(t, *pre, *post, q,
+    H_pre, Hdot_pre, H_post, Hdot_post)``. A step is each neuron's
+    :data:`FIELD`, with the live ``q`` in place of a receiver's adapted
+    target, then each receiver's :data:`PAIR` rows, renamed with its own
+    suffix and bound to its own ``K``, gain and parameters. The guard
+    passes when every neuron's state lies inside the divergence bound, every
+    ``q`` is finite and every adapted ``a``, ``m`` or ``s`` keeps the sign
+    it starts with; it fails on NaN. The loop returns ``(i, at, room, S)``
+    when its row fills the blocks (``room`` rows left is 0, step ``i`` not
+    taken), at ``i == end`` (step not taken), or when step ``i`` fails the
+    guard (``S`` after it).
     """
     n = 4 + 5 * len(receivers)
     offsets = range(4, n, 5)
     v = [f"v{i}" for i in range(n)]
-    env = {**_bind(0, astuple(pre)), "dt": dt, "bound": DIVERGENCE_BOUND, "inf": math.inf}
-    tests = [f"-bound < {x} < bound" for x in v[:4]]
+    env = {**_bind(0, astuple(pre)), "dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0,
+           "bound": DIVERGENCE_BOUND, "inf": math.inf,
+           "pack": Struct(f"{14 if receivers else 7}d").pack}
+    tests = [f"-bound < {x} and {x} < bound" for x in v[:4]]
     energies = _renamed(ENERGY, _names(0, v[:4]))
     rows = []
     for j, (config, o) in enumerate(zip(receivers, offsets), 1):
@@ -402,11 +410,12 @@ def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
         env.update(_bind(j, astuple(config.post)))
         env.update({f"K_{j}": config.K, f"neg_gain_{j}": -adapt.gain if adapt else 0.0,
                     f"sign_{j}": getattr(config.post, target)})
-        tests += [f"-bound < {x} < bound" for x in v[o : o + 4]] + [f"-inf < {v[o + 4]} < inf"]
+        tests += [f"-bound < {x} and {x} < bound" for x in v[o : o + 4]]
+        tests += [f"-inf < {v[o + 4]} and {v[o + 4]} < inf"]
         if target in POLE_PARAMS:
             tests.append(f"{v[o + 4]}*sign_{j} > 0.0")
         energies += _renamed(ENERGY, _names(j, v[o : o + 4], live={target: v[o + 4]}))
-        rows.append(f"(t, v0, v1, v2, v3, {', '.join(v[o : o + 5])}, H_0, Hdot_0, H_{j}, Hdot_{j})")
+        rows.append(f"t, v0, v1, v2, v3, {', '.join(v[o : o + 5])}, H_0, Hdot_0, H_{j}, Hdot_{j}")
 
     def derivative(active: bool):
         def body(u, k):
@@ -428,15 +437,36 @@ def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
 
         return body
 
-    idle = _rk4_kernel("idle", n, derivative(False), env)
-    adapting = any(config.adaptation for config in receivers)
-    active = _rk4_kernel("active", n, derivative(True), env) if adapting else idle
-    unpack = (", ".join(v), "S")
-    rows = rows or ["(t, v0, v1, v2, v3, H_0, Hdot_0)"]
-    handed = ", ".join(f"puts[{j}]({r})" for j, r in enumerate(rows))
-    row = compile_kernel("row", "t, S, puts", [unpack, *energies], f"({handed},)", env)
-    inside = compile_kernel("inside", "S", [unpack], " and ".join(tests), env)
-    return idle, active, row, inside
+    rows = rows or ["t, v0, v1, v2, v3, H_0, Hdot_0"]
+    state = f"({', '.join(v)})"
+    leave = f"return i, at, room, {state}"
+    sections = {"row": energies, "idle": _rk4(n, derivative(False), ""),
+                "guard": " and ".join(tests)}
+    step = ["    {idle}"]
+    if any(config.adaptation for config in receivers):
+        sections["active"] = _rk4(n, derivative(True), "a")
+        step = ["    if active:", "        {active}", "    else:", "        {idle}"]
+    template = [
+        f"{state} = S",
+        f"{''.join(f'b{j}, ' for j in range(len(rows)))}= blocks",
+        "while True:",
+        "    if i == at:",
+        "        t = i*dt",
+        "        {row}",
+        *(f"        b{j} += pack({row})" for j, row in enumerate(rows)),
+        "        at = nxt()",
+        "        room -= 1",
+        "        if not room:",
+        f"            {leave}",
+        "    if i == end:",
+        f"        {leave}",
+        *step,
+        "    if not ({guard}):",
+        f"        {leave}",
+        "    i += 1",
+    ]
+    return compile_kernel("loop", "i, end, at, S, active, nxt, blocks, room", "\n".join(template),
+                          sections, env)
 
 
 def _fault(values: tuple, i: int, dt: float, config: PairConfig | None = None):
@@ -461,55 +491,59 @@ def _fault(values: tuple, i: int, dt: float, config: PairConfig | None = None):
     return None
 
 
-def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig], kernels,
+def _switch(start: float, dt: float, n_steps: int) -> int:
+    """The first of ``n_steps`` steps whose left endpoint ``i*dt`` is at or
+    past ``start`` (which is not negative), or ``n_steps`` if none is."""
+    if not (n_steps - 1) * dt >= start:
+        return n_steps
+    i = math.ceil(start / dt)  # a step or two off at most
+    while i > 0 and (i - 1) * dt >= start:
+        i -= 1
+    while i * dt < start:
+        i += 1
+    return i
+
+
+def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig], loop,
                emits, recorded: Sequence[range], stop=None) -> None:
     """RK4 from t=0 to ``spec.t_end`` of a sender with parameters ``pre``
     that drives ``receivers``, which share one adaptation start, emitting
     the recorded samples of each sink in blocks: ``emits[j]`` gets receiver
-    ``j``'s, or, without receivers, the lone neuron's. ``kernels`` are
+    ``j``'s, or, without receivers, the lone neuron's. ``loop`` is
     :func:`_kernels` of ``pre`` and ``receivers``.
 
-    A step is ``active(state)`` when its left endpoint is at or past the
-    adaptation start, else ``idle(state)``. One generated test, ``inside``,
-    checks every step. When it fails, each receiver is judged by
-    :func:`_fault` over its own ``(sender, receiver, q)``, the lone neuron
-    over its state. A receiver that fails gets ``stop(j, error)``, or, with
-    no ``stop``, the error is raised; its partial block is dropped, and the
-    others go on with kernels generated for them alone, so their rows keep
-    their bits. A failing sender fails every receiver. ``recorded`` holds
-    the indices ``i`` of the recorded steps ``t = i*dt`` as sorted, disjoint
-    ranges, and no other step computes a row. At each, each sink's row is
-    appended to its own flat ``array("d")``, which goes to its ``emit``
-    every ``BLOCK_ROWS // len(emits)`` rows and at the end, so a caller fed
-    by a forked run formats one block while the next is integrated.
+    The loop runs in stretches: from the first step whose left endpoint
+    ``i*dt`` is at or past the adaptation start its steps are active, and
+    before it idle. ``recorded`` holds the indices ``i`` of the recorded
+    steps ``t = i*dt`` as sorted, disjoint ranges, and no other step
+    computes a row. Each sink's rows fill its own ``bytearray``, which goes
+    to its ``emit`` every ``BLOCK_ROWS // len(emits)`` rows and at the end,
+    so a caller fed by a forked run formats one block while the next is
+    integrated. When a step fails the loop's guard, each receiver is judged
+    by :func:`_fault` over its own ``(sender, receiver, q)``, the lone
+    neuron over its state. A receiver that fails gets ``stop(j, error)``,
+    or, with no ``stop``, the error is raised; its partial block is dropped,
+    and the others go on with a loop generated for them alone, so their rows
+    keep their bits. A failing sender fails every receiver.
     """
-    dt = spec.dt
+    dt, n_steps = spec.dt, spec.n_steps
     per_block = max(1, BLOCK_ROWS // len(emits))
-    steps = chain.from_iterable(recorded)
-    at, rows = next(steps, -1), 0  # the next recorded step, the rows so far
+    nxt = chain(chain.from_iterable(recorded), (-1,)).__next__
     start = min((c.adaptation.start_time for c in receivers if c.adaptation), default=math.inf)
+    switch = _switch(start, dt, n_steps)
     post = spec.initial_post.as_tuple()
     state = (*spec.initial_pre.as_tuple(),
              *(x for c in receivers for x in (*post, getattr(c.post, _target(c)))))
     ids = list(range(len(receivers)))
-    idle, active, row, inside = kernels
-    blocks = [array("d") for _ in emits]
-    puts = [block.extend for block in blocks]
-    n_steps = spec.n_steps
-    for i in range(n_steps + 1):
-        t = i * dt
-        if i == at:
-            row(t, state, puts)
-            at, rows = next(steps, -1), rows + 1
-            if rows % per_block == 0:
-                for emit, block in zip(emits, blocks):
-                    emit(block)
-                blocks = [array("d") for _ in emits]
-                puts = [block.extend for block in blocks]
-        if i == n_steps:
-            break
-        state = active(state) if t >= start else idle(state)
-        if not inside(state):
+    blocks, i, at, room = [bytearray() for _ in emits], 0, nxt(), per_block
+    while True:
+        end = n_steps if i >= switch else switch
+        i, at, room, state = loop(i, end, at, state, i >= switch, nxt, blocks, room)
+        if not room:
+            for emit, block in zip(emits, blocks):
+                emit(block)
+            blocks, room = [bytearray() for _ in emits], per_block
+        elif i < end:  # step i failed the guard
             if not receivers:
                 raise _fault(state, i, dt)
             parts = [state[o : o + 5] for o in range(4, len(state), 5)]
@@ -524,9 +558,10 @@ def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig]
                 list(compress(items, kept)) for items in (receivers, ids, emits, blocks, parts))
             if not receivers:
                 return
-            state = tuple(chain(state[:4], *parts))
-            puts = [block.extend for block in blocks]
-            idle, active, row, inside = _kernels(pre, receivers, dt)
+            state, i = tuple(chain(state[:4], *parts)), i + 1
+            loop = _kernels(pre, receivers, dt)
+        elif i == n_steps:
+            break
     for emit, block in zip(emits, blocks):
         if block:
             emit(block)
@@ -580,8 +615,8 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
     nothing.
     """
     sink = Collector() if sink is None else sink
-    # generated before the run may fork, so a forked child inherits them
-    kernels, recorded = _kernels(pre, receivers, spec.dt), [spec.recorded_steps]
+    # generated before the run may fork, so a forked child inherits it
+    loop, recorded = _kernels(pre, receivers, spec.dt), [spec.recorded_steps]
     hand = _hand(sink, width)
     if (len(spec.recorded_steps) > BLOCK_ROWS and not isinstance(sink, Collector)
             and fork.cores() > 1):
@@ -598,7 +633,7 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
                     sink.carry(rows)
                     ends.append(send(block))
 
-            _integrate(spec, pre, receivers, kernels, [send if sink.text is None else emit],
+            _integrate(spec, pre, receivers, loop, [send if sink.text is None else emit],
                        recorded)
 
         try:
@@ -608,7 +643,7 @@ def _stream(spec: SimSpec, sink: Sink | None, width: int, pre: NeuronParams,
         else:
             child.result(hand)
             return sink
-    _integrate(spec, pre, receivers, kernels, [hand], recorded)
+    _integrate(spec, pre, receivers, loop, [hand], recorded)
     return sink
 
 

@@ -200,21 +200,26 @@ class Fold(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def folded_source(name, args, body, result, env=None) -> str:
-    """The source of ``hrsync.codegen.compile_kernel(name, args, body,
-    result, env)`` as it was when :class:`Fold` folded each line of the body
-    by itself."""
+def folded_source(name, args, template, sections, env=None) -> str:
+    """The source of ``hrsync.codegen.compile_kernel(name, args, template,
+    sections, env)`` as it was when :class:`Fold` folded each line of the
+    body by itself."""
     env = dict(env or {})
     fold = Fold(env)
     lines, variables = [], set()
-    for target, expr in body:
-        tree = ast.parse(expr, mode="eval").body
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        if target.isidentifier() and target not in variables and names <= env.keys():
-            env[target] = _evaluate(expr, env)
+    for line in template.splitlines():
+        field = re.fullmatch(r"(\s*)\{(\w+)\}", line)
+        if not field:
+            lines.append("    " + re.sub(r"\{(\w+)\}", lambda m: ast.unparse(
+                fold(ast.parse(sections[m[1]], mode="eval").body)), line) + "\n")
             continue
-        variables |= {local.strip() for local in target.split(",")}
-        lines.append(f"    {target} = {ast.unparse(fold(tree))}\n")
-    lines.append(f"    return {ast.unparse(fold(ast.parse(result, mode='eval').body))}\n")
+        for target, expr in sections[field[2]]:
+            tree = ast.parse(expr, mode="eval").body
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            if target.isidentifier() and target not in variables and names <= env.keys():
+                env[target] = _evaluate(expr, env)
+                continue
+            variables |= {local.strip() for local in target.split(",")}
+            lines.append(f"    {field[1]}{target} = {ast.unparse(fold(tree))}\n")
     used = sorted(set(re.findall(r"\b[A-Za-z_]\w*", "".join(lines))) & env.keys())
     return f"def {name}({args}{''.join(f', {c}={c}' for c in used)}):\n" + "".join(lines)

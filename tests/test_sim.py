@@ -2,8 +2,10 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, replace
 
@@ -590,18 +592,19 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def recorded(row, t, state, sinks=1):
-    """The rows that the generated ``row`` hands its ``sinks`` at ``t``."""
-    rows = [[] for _ in range(sinks)]
-    row(t, state, [r.extend for r in rows])
-    return rows
+def step_once(loop, i, state, active):
+    """Drive the generated ``loop`` over step ``i`` alone: the row it packs
+    for its one sink at ``t = i*dt``, and the state after the step."""
+    blocks = [bytearray()]
+    *_, state = loop(i, i + 1, i, state, active, lambda: -1, blocks, 2)
+    return array("d", blocks[0]).tolist(), state
 
 
 class TestGeneratedKernels:
-    """The straight-line steps and sample rows generated from the expression
-    tables equal, bit for bit, the oracles' ``rk4_step`` over the per-point
-    kernels: the pair's ``coupled_derivative`` (a sender with one receiver)
-    and the lone neuron's ``field`` (a sender with none)."""
+    """The straight-line steps and sample rows of the loop generated from the
+    expression tables equal, bit for bit, the oracles' ``rk4_step`` over the
+    per-point kernels: the pair's ``coupled_derivative`` (a sender with one
+    receiver) and the lone neuron's ``field`` (a sender with none)."""
 
     DT = 0.01
 
@@ -618,8 +621,7 @@ class TestGeneratedKernels:
             config = PairConfig(pre=pre, post=post, K=K,
                                 adaptation=AdaptationSpec(target=target, gain=gain,
                                                           start_time=start))
-            idle, adapting, row, _ = _kernels(pre, [config], self.DT)
-            step = adapting if active else idle
+            loop = _kernels(pre, [config], self.DT)
             P_pre, P_post = astuple(pre), list(astuple(post))
             state = (0.4, -0.3, 1.0, 0.2, 0.1, 0.5, 0.8, -0.25, getattr(post, target))
             ref = state
@@ -628,23 +630,22 @@ class TestGeneratedKernels:
                 P_post[PARAM_INDEX[target]] = state[8]
                 want = (t, *state, *energy_terms(*state[:4], P_pre)[:2],
                         *energy_terms(*state[4:8], P_post)[:2])
-                assert bits(recorded(row, t, state)[0]) == bits(want), K
-                state = step(state)
+                row, state = step_once(loop, i, state, active)
+                assert bits(row) == bits(want), K
                 ref = rk4_step(lambda s, t: coupled_derivative(s, config, t), ref, t, self.DT)
                 assert bits(state) == bits(ref), K
             assert (state[8] != getattr(post, target)) == active
 
     def test_lone_step_and_row(self):
         params = replace(CANON, xi=1.3)
-        step, same, row, _ = _kernels(params, [], self.DT)
-        assert same is step
+        loop = _kernels(params, [], self.DT)
         P = astuple(params)
         state = ref = (0.1, 0.2, 0.3, 0.1)
         for i in range(200):
             t = i * self.DT
             want = (t, *state, *energy_terms(*state, P)[:2])
-            assert bits(recorded(row, t, state)[0]) == bits(want)
-            state = step(state)
+            row, state = step_once(loop, i, state, False)
+            assert bits(row) == bits(want)
             ref = rk4_step(lambda s, t: field(*s, P), ref, t, self.DT)
             assert bits(state) == bits(ref)
 
@@ -654,11 +655,10 @@ class TestGeneratedKernels:
         config = PairConfig(pre=pre, post=QUIET, K=2.345678,
                             adaptation=AdaptationSpec(target="f", gain=2.7))
         other = replace(config, K=1.5, post=replace(QUIET, d=0.5))
-        kernels = (*_kernels(pre, [config], 0.0123), *_kernels(pre, [], 0.0123),
-                   *_kernels(pre, [config, other, config], 0.0123))
-        for kernel in kernels:
+        for receivers in ([config], [], [config, other, config]):
+            source = _kernels(pre, receivers, 0.0123).source
             for value in (0.987654321, 2.345678, 2.7, -2.7, 0.0123, QUIET.f, QUIET.I):
-                assert repr(value) not in kernel.source
+                assert repr(value) not in source
 
 
 def receivers(target, adapt, ks, start=0.0, post=None):
@@ -676,9 +676,9 @@ def test_fold_gives_the_source_of_the_reference_fold(monkeypatch, count, target,
     # the one-pass fold binds the same constants, under the same names, as
     # the fold that walked each operation's subtree
     configs = receivers(target, adapt, (2.0, 2.7, 0.5)[:count])
-    folded = [kernel.source for kernel in _kernels(CANON, configs, 0.01)]
+    folded = _kernels(CANON, configs, 0.01).source
     monkeypatch.setattr(codegen, "_Fold", Fold)
-    assert folded == [kernel.source for kernel in _kernels(CANON, configs, 0.01)]
+    assert folded == _kernels(CANON, configs, 0.01).source
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -690,9 +690,8 @@ def test_shape_fold_gives_the_source_of_folding_each_line(monkeypatch, count, ta
     monkeypatch.setattr(sim, "compile_kernel", lambda *args: calls.append(args)
                         or codegen.compile_kernel(*args))
     _kernels(CANON, receivers(target, True, (2.0, 2.7, 0.5)[:count]), 0.01)
-    assert len(calls) == 3 + (count > 0)
-    for args in calls:
-        assert codegen.compile_kernel(*args).source == folded_source(*args)
+    (args,) = calls  # one loop per kernel set
+    assert codegen.compile_kernel(*args).source == folded_source(*args)
 
 
 @pytest.mark.parametrize("target, adapt", [("I", True), ("a", False), ("m", True)])
@@ -710,12 +709,14 @@ def test_folds_do_not_grow_with_stages_or_receivers(monkeypatch, target, adapt):
                 return super().__call__(tree)
 
         monkeypatch.setattr(codegen, "_Fold", Counted)
-        idle, *_ = _kernels(CANON, receivers(target, adapt, ks), 0.01)
-        return len(calls), idle.source.count("\n")
+        source = _kernels(CANON, receivers(target, adapt, ks), 0.01).source
+        # the lines of the idle step that assign a stage's derivative
+        return len(calls), len(re.findall(r"^ +k\d_\d+ = ", source, re.M))
 
     (one, step_lines), (three, _) = folds((2.0,)), folds((2.0, 2.7, 0.5))
     assert one == three
-    # every kernel of the set takes fewer folds than one step has lines
+    # the whole loop, rows and guard included, takes fewer folds than one
+    # step has derivative lines
     assert one < step_lines
 
 
@@ -797,6 +798,133 @@ class TestReceivers:
         monkeypatch.setattr(sim, "BLOCK_ROWS", sim.BLOCK_ROWS // len(configs))
         assert got == [self.own_run(spec, config) for config in configs]
         assert all(error is not None and 0.9 < error[0] < 1.05 for _, error in got)
+
+
+#: dx/dt = x^2 from x = 1, which blows up at t = 1
+RUNAWAY = NeuronParams(a=1, b=1, c=0, d=0, xi=0, I=0, e=0, f=0, g=0,
+                       m=1, s=1, h=0, n=0, k=0, r=0, l=0, p=-1)
+
+
+class TestSwitchStep:
+    """The law acts from the first step whose left endpoint ``i*dt`` is at or
+    past its start, which ``math.ceil(start/dt)`` can put a step late."""
+
+    DT = 0.01
+
+    def late_ceilings(self):
+        """The starts k/100, k = 1..20000, whose first step past them comes
+        before ``math.ceil(start/dt)``, with that step."""
+        late = {}
+        for start in (k / 100 for k in range(1, 20001)):
+            i = math.ceil(start / self.DT)
+            while (i - 1) * self.DT >= start:
+                i -= 1
+            if i != math.ceil(start / self.DT):
+                late[start] = i
+        return late
+
+    def test_switch_is_the_first_step_past_the_start(self):
+        late = self.late_ceilings()
+        assert len(late) == 574
+        assert [late[start] for start in (0.07, 0.14, 1.11)] == [7, 14, 111]
+        assert all(sim._switch(start, self.DT, 20001) == i for start, i in late.items())
+
+    def test_pair_switches_as_the_reference(self):
+        # each start below 2.5 whose ceiling is late, run two steps past it
+        for start, switch in self.late_ceilings().items():
+            if start > 2.5:
+                break
+            config = replace(REFERENCE_CONFIG, adaptation=AdaptationSpec(start_time=start))
+            spec = SimSpec(dt=self.DT, t_end=(switch + 2) * self.DT)
+            run = run_pair(spec, config)
+            got = np.column_stack((run.pre, run.post, run.q))
+            ref = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), QUIET.I)
+            for i, row in enumerate(got.tolist()):
+                assert bits(row) == bits(ref), (start, i)
+                t = i * self.DT
+                ref = rk4_step(lambda s, _: coupled_derivative(s, config, t), ref, t, self.DT)
+            assert run.q[switch] == QUIET.I != run.q[switch + 1]
+
+
+class TestLoopExits:
+    """A step that fails the guard stops the run with the error of that
+    step, wherever the loop meets it, and the run hands over only the full
+    blocks before it."""
+
+    @staticmethod
+    def stopped(run, spec, *args):
+        """The error that stops ``run(spec, *args, sink)`` and the blocks the
+        sink was handed, as lists."""
+        sink = Blocks()
+        with pytest.raises(DivergenceError) as caught:
+            run(spec, *args, sink)
+        return (caught.value.t, str(caught.value)), [block.tolist() for block in sink.blocks]
+
+    @staticmethod
+    def full_blocks(run, spec, *args):
+        """The full blocks of a run that stops short of the failing step."""
+        blocks = run(spec, *args, Blocks()).blocks
+        return [block.tolist() for block in blocks if len(block) == sim.BLOCK_ROWS]
+
+    @pytest.mark.parametrize("t_end, record_every, block_rows", [
+        (2.0, 10, 10), (0.991, 1, 100)], ids=["row-fills-a-block", "last-step"])
+    def test_runaway(self, monkeypatch, t_end, record_every, block_rows):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        dt = 0.001
+        spec = SimSpec(dt=dt, t_end=t_end, record_every=record_every,
+                       initial_pre=NeuronState(1, 0, 0, 0))
+        # the oracles' RK4 leaves the bound on step i
+        P, state, i = astuple(RUNAWAY), spec.initial_pre.as_tuple(), -1
+        while max(map(abs, state)) < sim.DIVERGENCE_BOUND:
+            i += 1
+            state = rk4_step(lambda s, t: field(*s, P), state, i * dt, dt)
+        if record_every > 1:  # the row at step i fills a block
+            assert i % record_every == 0 and (i // record_every + 1) % block_rows == 0
+        else:
+            assert i == spec.n_steps - 1
+        end = (i + 1) * dt
+        want = (end, f"state left the boundedness guard (|component| >= 100) at t={end:g}")
+        error, blocks = self.stopped(run_isolated, spec, RUNAWAY)
+        assert error == want
+        assert blocks == self.full_blocks(run_isolated, replace(spec, t_end=i * dt), RUNAWAY)
+        assert blocks
+
+    def test_pole_on_the_first_active_step(self, monkeypatch):
+        # from 0.07 the law's first step is step 7, where m crosses zero
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 3)
+        config = replace(POLE_CONFIG, adaptation=AdaptationSpec(target="m", gain=1e4,
+                                                                start_time=0.07))
+        spec, dt = SimSpec(dt=0.01, t_end=1.0), 0.01
+        ref = (*spec.initial_pre.as_tuple(), *spec.initial_post.as_tuple(), config.post.m)
+        for i in range(8):
+            t = i * dt
+            ref = rk4_step(lambda s, _: coupled_derivative(s, config, t), ref, t, dt)
+            assert (ref[8] > 0.0) == (i < 7)
+        end = 8 * dt
+        want = (end, f"adapted parameter 'm' reached zero or changed sign at t={end:g};"
+                     " the energy divides by a and m*s")
+        error, blocks = self.stopped(run_pair, spec, config)
+        assert error == want
+        assert blocks == self.full_blocks(run_pair, replace(spec, t_end=7 * dt), config)
+        assert len(blocks) == 2
+
+    def test_middle_receiver_fails_alone_mid_block(self, monkeypatch):
+        # the middle m reaches zero on step 41, when 42 rows fill 8 blocks of
+        # 5 and 2 of the next; the others go on with their own bits
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 15)
+        spec = SimSpec(dt=0.01, t_end=3.0)
+        adaptation = AdaptationSpec(start_time=0.07)
+        configs = [replace(REFERENCE_CONFIG, K=0.5, adaptation=adaptation),
+                   replace(POLE_CONFIG, adaptation=replace(POLE_CONFIG.adaptation,
+                                                           start_time=0.07)),
+                   replace(REFERENCE_CONFIG, K=2.0, adaptation=adaptation)]
+        got = TestReceivers().drive(spec, configs)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 5)
+        want = [TestReceivers.own_run(spec, config) for config in configs]
+        assert got == want
+        assert [error is None for _, error in got] == [True, False, True]
+        assert got[1][1][0] == 0.42
+        assert [len(block) for block in got[1][0]] == [5] * 8
 
 
 class TestIndependentIntegrator:
