@@ -24,19 +24,20 @@ generated as Python from the expression tables :data:`hrsync.model.FIELD`,
 :data:`hrsync.energy.ENERGY`, and compiled (:mod:`hrsync.codegen`). It keeps
 the state in local variables, takes straight-line RK4 steps, runs the
 divergence guard after each, and packs each recorded row onto its sink's
-block. The state is the sender's 4 components, then each receiver's 4 and
-its live ``q``; receiver ``j``'s equations are the tables' rows with its own
-suffix, ``K``, gain and parameters, and read ``q`` in place of the adapted
-parameter. Since ``d f / d q`` has a single nonzero row, ``PAIR``'s law is
-``dq/dt = -gain*s*e_row`` with ``(row, s)`` from the sensitivity table. The
-parameters, and every constant that ``q`` does not enter, are bound once per
-run. Each generated step agrees bit for bit with a hand-written RK4 step over
-the per-point kernels, which the tests keep as its reference, and each
-receiver's rows are those of its own pair run whatever the other receivers
-do. The energy divides by ``a`` and ``m*s``, so a run that adapts ``a``,
-``m`` or ``s`` stops with :class:`DivergenceError` once that parameter
-reaches zero or changes sign. Of several receivers, one that diverges stops
-alone, and a sender that diverges stops them all.
+block. Its one step body serves the whole run: a receiver's law reads
+``0.0`` until it switches on. The state is the sender's 4 components, then
+each receiver's 4 and its live ``q``; receiver ``j``'s equations are the
+tables' rows with its own suffix, ``K``, gain and parameters, and read ``q``
+in place of the adapted parameter. Since ``d f / d q`` has a single nonzero
+row, ``PAIR``'s law is ``dq/dt = -gain*s*e_row`` with ``(row, s)`` from the
+sensitivity table. The parameters, and every constant that ``q`` does not
+enter, are bound once per run. Each generated step agrees bit for bit with a
+hand-written RK4 step over the per-point kernels, which the tests keep as
+its reference, and each receiver's rows are those of its own pair run
+whatever the other receivers do. The energy divides by ``a`` and ``m*s``, so
+a run that adapts ``a``, ``m`` or ``s`` stops with :class:`DivergenceError`
+once that parameter reaches zero or changes sign. Of several receivers, one
+that diverges stops alone, and a sender that diverges stops them all.
 
 The loop computes the rows of the recorded steps alone, which it takes as
 ranges of step indices, and returns to :func:`_integrate` only when a block
@@ -350,20 +351,19 @@ def _renamed(table, names: dict) -> list[tuple[str, str]]:
     return [(rename(local, names), rename(expr, names)) for local, expr in table]
 
 
-def _rk4(n: int, derivative, tag: str) -> list[tuple[str, str]]:
+def _rk4(n: int, derivative) -> list[tuple[str, str]]:
     """The assignments of one RK4 step of the locals ``v0, ..., v{n-1}``, in
     place. ``derivative(inputs, outputs)`` gives the assignments of the
-    derivative at a stage; the stages' locals carry ``tag``. Each component
-    follows the operation order of ``S + (dt/6)*(k1 + 2*(k2 + k3) + k4)`` on
-    float64 arrays."""
+    derivative at a stage. Each component follows the operation order of
+    ``S + (dt/6)*(k1 + 2*(k2 + k3) + k4)`` on float64 arrays."""
     v = [f"v{j}" for j in range(n)]
     body, ks = [], []
     for stage, scale in enumerate(("", "half", "half", "dt"), 1):
         inputs = v
         if scale:
-            inputs = [f"u{tag}{j}" for j in range(n)]
+            inputs = [f"u{j}" for j in range(n)]
             body += [(u, f"{s} + {scale}*{k}") for u, s, k in zip(inputs, v, ks[-1])]
-        ks.append([f"k{tag}{stage}_{j}" for j in range(n)])
+        ks.append([f"k{stage}_{j}" for j in range(n)])
         body += derivative(inputs, ks[-1])
     return body + [(s, f"{s} + sixth*({a} + 2.0*({b} + {c}) + {d})")
                    for s, *(a, b, c, d) in zip(v, *ks)]
@@ -382,16 +382,16 @@ def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
     active, nxt, blocks, room)`` keeps the state ``S`` at step ``i`` in
     locals. At each step it packs, if the step is ``at``, one row of
     float64 onto each ``blocks[j]`` and takes ``at = nxt()``; then, short
-    of ``end``, it takes one RK4 step, with the receivers' laws if
-    ``active``, and runs the guard. A row is the lone neuron's ``(t, x, y,
-    z, w, H, Hdot)``, or receiver ``j``'s pair sample ``(t, *pre, *post, q,
-    H_pre, Hdot_pre, H_post, Hdot_post)``. A step is each neuron's
-    :data:`FIELD`, with the live ``q`` in place of a receiver's adapted
-    target, then each receiver's :data:`PAIR` rows, renamed with its own
-    suffix and bound to its own ``K``, gain and parameters. The guard
-    passes when every neuron's state lies inside the divergence bound, every
-    ``q`` is finite and every adapted ``a``, ``m`` or ``s`` keeps the sign
-    it starts with; it fails on NaN. The loop returns ``(i, at, room, S)``
+    of ``end``, it takes one RK4 step, in which each receiver's law reads
+    ``0.0`` unless ``active``, and runs the guard. A row is the lone
+    neuron's ``(t, x, y, z, w, H, Hdot)``, or receiver ``j``'s pair sample
+    ``(t, *pre, *post, q, H_pre, Hdot_pre, H_post, Hdot_post)``. A step is
+    each neuron's :data:`FIELD`, with the live ``q`` in place of a
+    receiver's adapted target, then each receiver's :data:`PAIR` rows,
+    renamed with its own suffix and bound to its own ``K``, gain and
+    parameters. The guard passes when every neuron's state lies inside the
+    divergence bound, every ``q`` is finite and every adapted ``a``, ``m``
+    or ``s`` keeps the sign it starts with; it fails on NaN. The loop returns ``(i, at, room, S)``
     when its row fills the blocks (``room`` rows left is 0, step ``i`` not
     taken), at ``i == end`` (step not taken), or when step ``i`` fails the
     guard (``S`` after it).
@@ -417,35 +417,27 @@ def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
         energies += _renamed(ENERGY, _names(j, v[o : o + 4], live={target: v[o + 4]}))
         rows.append(f"t, v0, v1, v2, v3, {', '.join(v[o : o + 5])}, H_0, Hdot_0, H_{j}, Hdot_{j}")
 
-    def derivative(active: bool):
-        def body(u, k):
-            pre_names = _names(0, u[:4], k[:4])
-            sender = {f"{name}_0": local for name, local in pre_names.items()}
-            lines = _renamed(FIELD, pre_names)
-            for j, (config, o) in enumerate(zip(receivers, offsets), 1):
-                target = _target(config)
-                sens_row, sens = SENSITIVITY_EXPR[target]
-                post = _names(j, u[o : o + 4], k[o : o + 4], {target: u[o + 4]})
-                pair = {**sender, **{f"{name}_1": local for name, local in post.items()}}
-                pair.update(K=f"K_{j}", neg_gain=f"neg_gain_{j}", dq=k[o + 4],
-                            sens_0=f"({rename(sens, pre_names)})", row_0=u[sens_row],
-                            row_1=u[o + sens_row])
-                coupling, (dq, law) = _renamed(PAIR, pair)
-                adapts = active and config.adaptation is not None
-                lines += [*_renamed(FIELD, post), coupling, (dq, law if adapts else "0.0")]
-            return lines
-
-        return body
+    def derivative(u, k):
+        pre_names = _names(0, u[:4], k[:4])
+        sender = {f"{name}_0": local for name, local in pre_names.items()}
+        lines = _renamed(FIELD, pre_names)
+        for j, (config, o) in enumerate(zip(receivers, offsets), 1):
+            target = _target(config)
+            sens_row, sens = SENSITIVITY_EXPR[target]
+            post = _names(j, u[o : o + 4], k[o : o + 4], {target: u[o + 4]})
+            pair = {**sender, **{f"{name}_1": local for name, local in post.items()}}
+            pair.update(K=f"K_{j}", neg_gain=f"neg_gain_{j}", dq=k[o + 4],
+                        sens_0=f"({rename(sens, pre_names)})", row_0=u[sens_row],
+                        row_1=u[o + sens_row])
+            coupling, (dq, law) = _renamed(PAIR, pair)
+            law = f"({law}) if active else 0.0" if config.adaptation else "0.0"
+            lines += [*_renamed(FIELD, post), coupling, (dq, law)]
+        return lines
 
     rows = rows or ["t, v0, v1, v2, v3, H_0, Hdot_0"]
     state = f"({', '.join(v)})"
     leave = f"return i, at, room, {state}"
-    sections = {"row": energies, "idle": _rk4(n, derivative(False), ""),
-                "guard": " and ".join(tests)}
-    step = ["    {idle}"]
-    if any(config.adaptation for config in receivers):
-        sections["active"] = _rk4(n, derivative(True), "a")
-        step = ["    if active:", "        {active}", "    else:", "        {idle}"]
+    sections = {"row": energies, "step": _rk4(n, derivative), "guard": " and ".join(tests)}
     template = [
         f"{state} = S",
         f"{''.join(f'b{j}, ' for j in range(len(rows)))}= blocks",
@@ -460,7 +452,7 @@ def _kernels(pre: NeuronParams, receivers: Sequence[PairConfig], dt: float):
         f"            {leave}",
         "    if i == end:",
         f"        {leave}",
-        *step,
+        "    {step}",
         "    if not ({guard}):",
         f"        {leave}",
         "    i += 1",
@@ -512,19 +504,20 @@ def _integrate(spec: SimSpec, pre: NeuronParams, receivers: Sequence[PairConfig]
     ``j``'s, or, without receivers, the lone neuron's. ``loop`` is
     :func:`_kernels` of ``pre`` and ``receivers``.
 
-    The loop runs in stretches: from the first step whose left endpoint
-    ``i*dt`` is at or past the adaptation start its steps are active, and
-    before it idle. ``recorded`` holds the indices ``i`` of the recorded
-    steps ``t = i*dt`` as sorted, disjoint ranges, and no other step
-    computes a row. Each sink's rows fill its own ``bytearray``, which goes
-    to its ``emit`` every ``BLOCK_ROWS // len(emits)`` rows and at the end,
-    so a caller fed by a forked run formats one block while the next is
-    integrated. When a step fails the loop's guard, each receiver is judged
-    by :func:`_fault` over its own ``(sender, receiver, q)``, the lone
-    neuron over its state. A receiver that fails gets ``stop(j, error)``,
-    or, with no ``stop``, the error is raised; its partial block is dropped,
-    and the others go on with a loop generated for them alone, so their rows
-    keep their bits. A failing sender fails every receiver.
+    The loop runs in stretches, split at the first step whose left endpoint
+    ``i*dt`` is at or past the adaptation start: it applies the law from
+    that step on (``active``), and not before it. ``recorded`` holds the
+    indices ``i`` of the recorded steps ``t = i*dt`` as sorted, disjoint
+    ranges, and no other step computes a row. Each sink's rows fill its own
+    ``bytearray``, which goes to its ``emit`` every
+    ``BLOCK_ROWS // len(emits)`` rows and at the end, so a caller fed by a
+    forked run formats one block while the next is integrated. When a step fails the
+    loop's guard, each receiver is judged by :func:`_fault` over its own
+    ``(sender, receiver, q)``, the lone neuron over its state. A receiver
+    that fails gets ``stop(j, error)``, or, with no ``stop``, the error is
+    raised; its partial block is dropped, and the others go on with a loop
+    generated for them alone, so their rows keep their bits. A failing
+    sender fails every receiver.
     """
     dt, n_steps = spec.dt, spec.n_steps
     per_block = max(1, BLOCK_ROWS // len(emits))

@@ -981,7 +981,7 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
     # of its own (interned names), some 0.4 MB at once, inside whichever run
     # fills it; that never happens in two runs in a row, so each length takes
     # the smaller peak of two. Compiling a run's integration loop peaks above
-    # the rest of the run (about 1.17 MB for a pair, 0.42 MB for a lone
+    # the rest of the run (about 0.76 MB for a pair, 0.40 MB for a lone
     # neuron), so each peak is taken from the moment the loop is generated.
     # The long run's 4500 more rows may add 12 bytes a row: a writer that
     # keeps each block (56 or 112 bytes a row), or 16 bytes a row, fails
@@ -996,6 +996,10 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, argv, cores):
 
     def generated(*args):
         loop = generate(*args)
+        # for every allocation tracemalloc looks up the current line, which
+        # walks the big loop's line table; without one the loop runs the same
+        # bytecode, allocates the same and gives the same bits, only faster
+        loop.__code__ = loop.__code__.replace(co_linetable=b"")
         tracemalloc.reset_peak()
         return loop
 

@@ -649,6 +649,15 @@ class TestGeneratedKernels:
             ref = rk4_step(lambda s, t: field(*s, P), ref, t, self.DT)
             assert bits(state) == bits(ref)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("target", ADAPTABLE_PARAMS)
+    def test_adapting_loop_takes_one_step_body(self, target, count):
+        # the law's lines choose by ``active``, so the idle and the active
+        # step share one body, and each state local is stepped once in it
+        source = _kernels(CANON, receivers(target, True, (2.0, 2.7, 0.5)[:count]), self.DT).source
+        for j in range(4 + 5 * count):
+            assert len(re.findall(rf"^ +v{j} = v{j} \+ sixth \*", source, re.M)) == 1, j
+
     def test_generated_source_holds_no_config_value(self):
         # run constants are bound as default arguments, never written as text
         pre = replace(CANON, d=0.987654321)
@@ -710,7 +719,7 @@ def test_folds_do_not_grow_with_stages_or_receivers(monkeypatch, target, adapt):
 
         monkeypatch.setattr(codegen, "_Fold", Counted)
         source = _kernels(CANON, receivers(target, adapt, ks), 0.01).source
-        # the lines of the idle step that assign a stage's derivative
+        # the lines of the step that assign a stage's derivative
         return len(calls), len(re.findall(r"^ +k\d_\d+ = ", source, re.M))
 
     (one, step_lines), (three, _) = folds((2.0,)), folds((2.0, 2.7, 0.5))
